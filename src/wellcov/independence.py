@@ -9,7 +9,10 @@ pure, since any maximum independent set contains one.
 
 One enumeration engine serves both sides of complementation: maximal
 independent sets are the maximal cliques of the complement, found by
-pivoting branch-and-bound on bitmask rows.
+pivoting branch-and-bound on bitmask rows, and independent sets of a
+fixed size are the cliques of that size in the complement.
+`clique_masks_of_size` takes bitmask rows, so the clique side of
+`saturation` calls it directly on a graph's own rows.
 """
 
 from __future__ import annotations
@@ -55,6 +58,29 @@ def _maximal_cliques(rows: Sequence[int], n: int) -> list[int]:
     return out
 
 
+def clique_masks_of_size(rows: Sequence[int], n: int, k: int) -> tuple[int, ...]:
+    """All cliques of size exactly k of the graph given by bitmask rows,
+    as masks, ascending."""
+    if k == 0:
+        return (0,)
+    out: list[int] = []
+
+    def grow(mask: int, cand: int, need: int) -> None:
+        bits = cand
+        while bits.bit_count() >= need:
+            low = bits & -bits
+            bits ^= low
+            extended = mask | low
+            if need == 1:
+                out.append(extended)
+            else:
+                # bits keeps only higher vertices, so no set is built twice
+                grow(extended, bits & rows[low.bit_length() - 1], need - 1)
+    grow(0, (1 << n) - 1, k)
+    out.sort()
+    return tuple(out)
+
+
 def maximal_independent_set_masks(g: Graph) -> tuple[int, ...]:
     """Maximal independent sets as bitmasks, ascending (colex order)."""
     full = (1 << g.n) - 1
@@ -87,24 +113,9 @@ def independent_set_masks(g: Graph) -> tuple[int, ...]:
 
 def independent_masks_of_size(g: Graph, k: int) -> tuple[int, ...]:
     """Independent sets of size exactly k as bitmasks, ascending."""
-    if k == 0:
-        return (0,)
-    rows = g.adj
-    out: list[int] = []
-
-    def grow(mask: int, cand: int, need: int) -> None:
-        bits = cand
-        while bits.bit_count() >= need:
-            low = bits & -bits
-            bits ^= low
-            extended = mask | low
-            if need == 1:
-                out.append(extended)
-            else:
-                grow(extended, bits & ~rows[low.bit_length() - 1], need - 1)
-    grow(0, (1 << g.n) - 1, k)
-    out.sort()
-    return tuple(out)
+    full = (1 << g.n) - 1
+    comp_rows = [row ^ full ^ (1 << v) for v, row in enumerate(g.adj)]
+    return clique_masks_of_size(comp_rows, g.n, k)
 
 
 def independence_number(g: Graph) -> int:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .bitset import VertexSet
 from .graphs import Graph, complement, connected_components
-from .independence import maximal_independent_sets
+from .independence import clique_masks_of_size, maximal_independent_sets
 
 HYPOTHESIS_UNMET = "hypothesis_unmet"
 HOLDS = "holds"
@@ -35,27 +35,6 @@ def _contains_clique(rows: Sequence[int], within: int, t: int) -> bool:
         if _contains_clique(rows, bits & rows[low.bit_length() - 1], t - 1):
             return True
     return False
-
-
-def _cliques_of_size(rows: Sequence[int], n: int, k: int) -> tuple[int, ...]:
-    """All cliques of size exactly k as bitmasks, ascending."""
-    if k == 0:
-        return (0,)
-    out: list[int] = []
-
-    def grow(mask: int, cand: int, need: int) -> None:
-        bits = cand
-        while bits.bit_count() >= need:
-            low = bits & -bits
-            bits ^= low
-            extended = mask | low
-            if need == 1:
-                out.append(extended)
-            else:
-                grow(extended, bits & rows[low.bit_length() - 1], need - 1)
-    grow(0, (1 << n) - 1, k)
-    out.sort()
-    return tuple(out)
 
 
 def is_kt_free(h: Graph, t: int) -> bool:
@@ -114,7 +93,7 @@ def min_clique_codegree(h: Graph, r: int) -> int:
     """Minimum codegree over all (r-1)-cliques; n when r = 1."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    cliques = _cliques_of_size(h.adj, h.n, r - 1)
+    cliques = clique_masks_of_size(h.adj, h.n, r - 1)
     if not cliques:
         raise ValueError(f"no cliques of size {r - 1}")
     return min(clique_codegree(h, VertexSet(h.n, m)) for m in cliques)

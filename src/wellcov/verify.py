@@ -8,6 +8,11 @@ examples suite drives the two witness families through every claimed
 value, and the codec suite covers hand-derived encodings plus family
 round-trips.  Everything here is exact; an empty discrepancy list is
 the only passing outcome.
+
+A sweep keeps one ledger: every record, in discovery order, names its
+check (`deciders`, `conditions`, `criticality`, `w_index_duality`,
+`gorenstein`, `alpha2`, `alpha3`, `bounds`, `rigidity`, `codec`), and
+that name alone decides which suite line a record fails.
 """
 
 from __future__ import annotations
@@ -81,13 +86,14 @@ def equivalence_discrepancies(
     out = []
     reports = _theorem_reports(g, p_values, reports, allow_large)
     for p in p_values:
-        o = is_in_wp_oracle(g, p, allow_large=allow_large)
+        rep = reports[p]
+        # the oracle decider's verdict is the first step of condition (a)
+        o = rep.oracle
         ri = is_in_wp_ridge(g, p)
         lo = is_in_wp_localization(g, p, memo)
         if not o == ri == lo:
             out.append(_record(
                 g, "deciders", f"oracle={o} ridge={ri} localization={lo}", p))
-        rep = reports[p]
         if not rep.all_equal:
             out.append(_record(
                 g, "conditions",
@@ -165,56 +171,26 @@ class CatalogSweep:
     p_values: tuple[int, ...]
     graphs_checked: int = 0
     elapsed_seconds: float = 0.0
-    decider_disagreements: list[dict] = field(default_factory=list)
-    condition_mismatches: list[dict] = field(default_factory=list)
-    criticality_mismatches: list[dict] = field(default_factory=list)
-    alpha2_mismatches: list[dict] = field(default_factory=list)
-    alpha3_mismatches: list[dict] = field(default_factory=list)
-    w_index_mismatches: list[dict] = field(default_factory=list)
-    bound_violations: list[dict] = field(default_factory=list)
-    gorenstein_mismatches: list[dict] = field(default_factory=list)
-    codec_failures: list[dict] = field(default_factory=list)
+    # every discrepancy record, in discovery order
+    records: list[dict] = field(default_factory=list)
     # (n, r, p) -> graph6 of graphs with an all-true report at p
     find_hits: dict[tuple[int, int, int], list[str]] = field(default_factory=dict)
 
-    _BUCKETS = (
-        "decider_disagreements", "condition_mismatches", "criticality_mismatches",
-        "alpha2_mismatches", "alpha3_mismatches", "w_index_mismatches",
-        "bound_violations", "gorenstein_mismatches", "codec_failures",
-    )
-
     @property
     def ok(self) -> bool:
-        return all(not getattr(self, name) for name in self._BUCKETS)
+        return not self.records
 
-    def discrepancies(self) -> list[dict]:
-        out = []
-        for name in self._BUCKETS:
-            out.extend(getattr(self, name))
-        return out
-
-    _CHECK_BUCKET = {
-        "deciders": "decider_disagreements",
-        "conditions": "condition_mismatches",
-        "criticality": "criticality_mismatches",
-        "alpha2": "alpha2_mismatches",
-        "alpha3": "alpha3_mismatches",
-        "w_index_duality": "w_index_mismatches",
-        "bounds": "bound_violations",
-        "rigidity": "bound_violations",
-        "gorenstein": "gorenstein_mismatches",
-    }
-
-    def _file(self, records: list[dict]) -> None:
-        for rec in records:
-            getattr(self, self._CHECK_BUCKET[rec["check"]]).append(rec)
+    def discrepancies(self, *checks: str) -> list[dict]:
+        """Every record, or only those whose check is one of `checks`."""
+        if not checks:
+            return list(self.records)
+        return [rec for rec in self.records if rec["check"] in checks]
 
 
 def sweep_catalog(
     max_n: int = 6,
     p_values: tuple[int, ...] = (1, 2, 3),
     *,
-    allow_large: bool = False,
     progress: Progress | None = None,
 ) -> CatalogSweep:
     """Cross-validate everything over all labeled graphs on 1..max_n
@@ -224,20 +200,20 @@ def sweep_catalog(
     started = time.perf_counter()
     for n in range(1, max_n + 1):
         total = catalog_size(n)
-        for index, g in enumerate(labeled_graphs(n, allow_large=allow_large)):
+        for index, g in enumerate(labeled_graphs(n)):
             if progress is not None and index % 4096 == 0:
                 progress(n, index, total)
             sweep.graphs_checked += 1
             g6 = encode(g)
             if decode(g6).adj != g.adj:
-                sweep.codec_failures.append(_record(g, "codec", "round trip changed the graph"))
+                sweep.records.append(_record(g, "codec", "round trip changed the graph"))
             reports: dict = {}
-            sweep._file(equivalence_discrepancies(g, p_values, memo, reports=reports))
-            sweep._file(corollary_discrepancies(g, p_values, memo=memo, reports=reports))
-            r = independence_number(g)
+            sweep.records += equivalence_discrepancies(g, p_values, memo, reports=reports)
+            sweep.records += corollary_discrepancies(g, p_values, memo=memo, reports=reports)
             for p in p_values:
-                if n == r * p and reports[p].all_true:
-                    sweep.find_hits.setdefault((n, r, p), []).append(g6)
+                rep = reports[p]
+                if n == rep.r * p and rep.all_true:
+                    sweep.find_hits.setdefault((n, rep.r, p), []).append(g6)
     sweep.elapsed_seconds = time.perf_counter() - started
     return sweep
 
@@ -264,39 +240,34 @@ def _labelings_of_clique_union(r: int, p: int) -> int:
     return math.factorial(r * p) // (math.factorial(p) ** r * math.factorial(r))
 
 
+# suite line key, the record checks it covers, what those checks compare
+_CATALOG_LINES = (
+    ("deciders-agree", ("deciders",), "oracle, ridge, and localization deciders"),
+    ("theorem-conditions-agree", ("conditions",), "four-way condition reports"),
+    ("alpha2-specialization", ("alpha2",), "independence number 2 specialization"),
+    ("alpha3-specialization", ("alpha3",), "independence number 3 specialization"),
+    ("w-index-duality", ("w_index_duality",), "w-index versus complement clique codegree"),
+    ("bounds-hold", ("bounds", "rigidity"),
+     "edge, degree, universal-vertex, and rigidity consequences"),
+    ("criticality-agree", ("criticality",), "edge-deletion versus fiber-cover criticality"),
+    ("gorenstein-agree", ("gorenstein",), "three-route combinatorial flags"),
+    ("codec-roundtrip-catalog", ("codec",), "graph6 round trips"),
+)
+
+
 def catalog_suite(
     max_n: int = 6,
     p_values: tuple[int, ...] = (1, 2, 3),
     *,
     progress: Progress | None = None,
-    sweep: CatalogSweep | None = None,
 ) -> tuple[SuiteResult, CatalogSweep]:
-    if sweep is None:
-        sweep = sweep_catalog(max_n, p_values, progress=progress)
+    sweep = sweep_catalog(max_n, p_values, progress=progress)
     scope = f"{sweep.graphs_checked} graphs, n<={max_n}, p in {list(p_values)}"
-
-    def line(key: str, bucket: list[dict], what: str) -> SuiteLine:
-        return SuiteLine(key, not bucket, f"{what} over {scope}: {len(bucket)} discrepancies")
-
-    lines = [
-        line("deciders-agree", sweep.decider_disagreements,
-             "oracle, ridge, and localization deciders"),
-        line("theorem-conditions-agree", sweep.condition_mismatches,
-             "four-way condition reports"),
-        line("alpha2-specialization", sweep.alpha2_mismatches,
-             "independence number 2 specialization"),
-        line("alpha3-specialization", sweep.alpha3_mismatches,
-             "independence number 3 specialization"),
-        line("w-index-duality", sweep.w_index_mismatches,
-             "w-index versus complement clique codegree"),
-        line("bounds-hold", sweep.bound_violations,
-             "edge, degree, universal-vertex, and rigidity consequences"),
-        line("criticality-agree", sweep.criticality_mismatches,
-             "edge-deletion versus fiber-cover criticality"),
-        line("gorenstein-agree", sweep.gorenstein_mismatches,
-             "three-route combinatorial flags"),
-        line("codec-roundtrip-catalog", sweep.codec_failures, "graph6 round trips"),
-    ]
+    lines = []
+    for key, checks, what in _CATALOG_LINES:
+        found = len(sweep.discrepancies(*checks))
+        lines.append(SuiteLine(
+            key, found == 0, f"{what} over {scope}: {found} discrepancies"))
 
     find_checks = []
     for r, p in ((2, 2), (3, 2), (2, 3)):

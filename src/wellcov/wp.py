@@ -15,6 +15,19 @@ Cross-validating them over exhaustive catalogs is the point of the
 package, so none of them may consult another's logic.  The same holds
 for the two criticality tests (edge deletion versus fiber cover) and
 for the four conditions of the theorem report.
+
+The sharing rule, precisely:
+
+  * Enumeration primitives may be shared across routes.  These are the
+    functions of `independence` and `saturation` that the tests
+    cross-check against naive subset enumeration (`tests/_naive.py`).
+  * A route's own result may be reused by that same route.  Condition
+    (a) of the theorem report starts with the oracle, so the report
+    keeps that verdict as `TheoremReport.oracle`, and the catalog
+    checks read the oracle decider from it instead of running the
+    oracle a second time.
+  * Decision logic is never shared: no route reads another route's
+    verdict or calls into its deciding code.
 """
 
 from __future__ import annotations
@@ -41,14 +54,6 @@ ORACLE_VERTEX_LIMIT = 10
 
 class OracleSizeError(ValueError):
     """The exhaustive oracle was asked for a graph above its cap."""
-
-
-def _check_oracle_size(g: Graph, allow_large: bool) -> None:
-    if g.n > ORACLE_VERTEX_LIMIT and not allow_large:
-        raise OracleSizeError(
-            f"oracle capped at {ORACLE_VERTEX_LIMIT} vertices; got {g.n} "
-            "(pass allow_large to override)"
-        )
 
 
 def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
@@ -110,30 +115,37 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
     return search(0, 0)
 
 
-def is_in_wp_oracle(g: Graph, p: int, *, allow_large: bool = False) -> bool:
-    """Definition-level membership test by exhaustive tuple extension."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    _check_oracle_size(g, allow_large)
-    if g.n < p:
-        return False
-    return _unextendable_family(g, p) is None
-
-
-def wp_oracle_counterexample(
-    g: Graph, p: int, *, allow_large: bool = False
-) -> tuple[VertexSet, ...] | None:
-    """An unextendable disjoint family witnessing non-membership.
+def _oracle(g: Graph, p: int, allow_large: bool) -> tuple[int, ...] | None:
+    """The oracle's one front for both public entry points: argument
+    checks and the size guard, then the unextendable family as masks,
+    or None when g is in W_p.  Neither entry point calls the other, so
+    each public call is exactly one oracle run.
 
     With fewer than p vertices the all-empty family already fails, since
     p pairwise disjoint nonempty maximum sets cannot fit.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    _check_oracle_size(g, allow_large)
+    if g.n > ORACLE_VERTEX_LIMIT and not allow_large:
+        raise OracleSizeError(
+            f"oracle capped at {ORACLE_VERTEX_LIMIT} vertices; got {g.n} "
+            "(pass allow_large to override)"
+        )
     if g.n < p:
-        return tuple(VertexSet.empty(g.n) for _ in range(p))
-    bad = _unextendable_family(g, p)
+        return (0,) * p
+    return _unextendable_family(g, p)
+
+
+def is_in_wp_oracle(g: Graph, p: int, *, allow_large: bool = False) -> bool:
+    """Definition-level membership test by exhaustive tuple extension."""
+    return _oracle(g, p, allow_large) is None
+
+
+def wp_oracle_counterexample(
+    g: Graph, p: int, *, allow_large: bool = False
+) -> tuple[VertexSet, ...] | None:
+    """An unextendable disjoint family witnessing non-membership."""
+    bad = _oracle(g, p, allow_large)
     if bad is None:
         return None
     return tuple(VertexSet(g.n, m) for m in bad)
@@ -206,12 +218,10 @@ def is_alpha_critical_direct(g: Graph) -> bool:
     """Every edge deletion raises the independence number.
 
     Edgeless graphs are vacuously critical; reports carry a separate
-    vacuous flag for them.
+    vacuous flag for them.  Deleting an edge never lowers the
+    independence number, so this is the absence of a non-critical edge.
     """
-    alpha = independence_number(g)
-    return all(
-        independence_number(delete_edge(g, e)) > alpha for e in g.edges()
-    )
+    return non_critical_edge(g) is None
 
 
 def non_critical_edge(g: Graph) -> Edge | None:
@@ -239,6 +249,8 @@ def is_alpha_critical_fibers(g: Graph) -> tuple[bool, Edge | None]:
 class TheoremReport:
     """The four equivalent conditions, each computed by its own route.
 
+    oracle: the exhaustive oracle's membership verdict, the first step
+            of cond_a, kept so the oracle runs once per (g, p).
     cond_a: criticality by edge deletion plus the exhaustive oracle.
     cond_b: purity, ridge degrees, and missing-edge coverage on the
             independence complex, all from adjacency arithmetic.
@@ -252,6 +264,7 @@ class TheoremReport:
 
     p: int
     r: int
+    oracle: bool
     cond_a: bool
     cond_b: bool
     cond_c: bool
@@ -267,8 +280,7 @@ class TheoremReport:
         return self.cond_a and self.cond_b and self.cond_c and self.cond_d
 
 
-def _cond_a(g: Graph, p: int, allow_large: bool) -> tuple[bool, dict | None]:
-    bad = wp_oracle_counterexample(g, p, allow_large=allow_large)
+def _cond_a(g: Graph, bad: tuple[VertexSet, ...] | None) -> tuple[bool, dict | None]:
     if bad is not None:
         return False, {
             "kind": "unextendable_family",
@@ -350,7 +362,8 @@ def main_theorem_report(g: Graph, p: int, *, allow_large: bool = False) -> Theor
         raise ValueError("p must be at least 1")
     r = independence_number(g)
     prof = profile(g)
-    a, wa = _cond_a(g, p, allow_large)
+    bad = wp_oracle_counterexample(g, p, allow_large=allow_large)
+    a, wa = _cond_a(g, bad)
     b, wb = _cond_b(g, p, prof)
     c, wc = _cond_c(g, p)
     d, wd = _cond_d(g, p, r)
@@ -358,7 +371,9 @@ def main_theorem_report(g: Graph, p: int, *, allow_large: bool = False) -> Theor
     for name, w in (("cond_a", wa), ("cond_b", wb), ("cond_c", wc), ("cond_d", wd)):
         if w is not None:
             witnesses[name] = w
-    return TheoremReport(p=p, r=r, cond_a=a, cond_b=b, cond_c=c, cond_d=d, witnesses=witnesses)
+    return TheoremReport(
+        p=p, r=r, oracle=bad is None, cond_a=a, cond_b=b, cond_c=c, cond_d=d,
+        witnesses=witnesses)
 
 
 @dataclass(frozen=True, slots=True)

@@ -56,23 +56,24 @@ def example_line(examples, key):
 
 
 def test_criterion_01_decider_equivalence(sweep, announce):
-    ok = (not sweep.decider_disagreements
-          and sweep.elapsed_seconds < SWEEP_BUDGET_SECONDS)
+    found = sweep.discrepancies("deciders")
+    ok = not found and sweep.elapsed_seconds < SWEEP_BUDGET_SECONDS
     announce(1, ok,
              f"oracle/ridge/localization agree on {sweep.graphs_checked} graphs "
              f"(n<={MAX_N}, p in {list(P_VALUES)}), "
-             f"{len(sweep.decider_disagreements)} disagreements, "
+             f"{len(found)} disagreements, "
              f"sweep {sweep.elapsed_seconds:.1f}s of {SWEEP_BUDGET_SECONDS:.0f}s budget")
-    assert sweep.decider_disagreements == []
+    assert found == []
     assert sweep.elapsed_seconds < SWEEP_BUDGET_SECONDS
 
 
 def test_criterion_02_four_way_equivalence(sweep, announce):
-    ok = not sweep.condition_mismatches
+    found = sweep.discrepancies("conditions")
+    ok = not found
     announce(2, ok,
              f"four conditions equal on every graph and p, "
-             f"{len(sweep.condition_mismatches)} mismatches")
-    assert sweep.condition_mismatches == []
+             f"{len(found)} mismatches")
+    assert found == []
 
 
 def test_criterion_03_petersen_complement(examples, announce):
@@ -88,32 +89,35 @@ def test_criterion_04_blowup_family(examples, announce):
 
 
 def test_criterion_05_alpha2_specialization(sweep, announce):
-    ok = not sweep.alpha2_mismatches
+    found = sweep.discrepancies("alpha2")
+    ok = not found
     announce(5, ok,
              f"maximal triangle-free + degree floor matches the theorem "
-             f"side everywhere, {len(sweep.alpha2_mismatches)} mismatches")
-    assert sweep.alpha2_mismatches == []
+             f"side everywhere, {len(found)} mismatches")
+    assert found == []
 
 
 def test_criterion_06_w_index_duality(sweep, announce):
-    ok = not sweep.w_index_mismatches
+    found = sweep.discrepancies("w_index_duality")
+    ok = not found
     announce(6, ok,
              f"w-index equals complement clique codegree on every "
-             f"well-covered graph, {len(sweep.w_index_mismatches)} mismatches")
-    assert sweep.w_index_mismatches == []
+             f"well-covered graph, {len(found)} mismatches")
+    assert found == []
 
 
 def test_criterion_07_bounds(sweep, announce):
+    found = sweep.discrepancies("bounds", "rigidity")
     petersen = generate("petersen").graph
     br = bound_report(petersen, 2, 3)
     tight = (br.edge_count == 15 and br.codegree_edge_bound == 15
              and br.codegree_edge_bound_tight)
-    ok = not sweep.bound_violations and tight
+    ok = not found and tight
     announce(7, ok,
              f"edge/degree/universal-vertex bounds hold on all qualifying "
-             f"graphs ({len(sweep.bound_violations)} violations); tight "
+             f"graphs ({len(found)} violations); tight "
              f"instance at n=10, r=2, p=3 with 15 edges: {tight}")
-    assert sweep.bound_violations == []
+    assert found == []
     assert tight
 
 
@@ -138,20 +142,22 @@ def test_criterion_08_rigidity_find_scans(sweep, announce, capsys):
 
 
 def test_criterion_09_criticality_agreement(sweep, announce):
-    ok = not sweep.criticality_mismatches
+    found = sweep.discrepancies("criticality")
+    ok = not found
     announce(9, ok,
              f"edge-deletion and fiber-cover criticality agree on "
              f"{sweep.graphs_checked} graphs, "
-             f"{len(sweep.criticality_mismatches)} disagreements")
-    assert sweep.criticality_mismatches == []
+             f"{len(found)} disagreements")
+    assert found == []
 
 
 def test_criterion_10_codec(sweep, announce):
+    found = sweep.discrepancies("codec")
     codec = codec_suite()
-    ok = not sweep.codec_failures and codec.passed
+    ok = not found and codec.passed
     announce(10, ok,
              f"round trip on {sweep.graphs_checked} catalog graphs "
-             f"({len(sweep.codec_failures)} failures) and family graphs "
+             f"({len(found)} failures) and family graphs "
              f"to n=28; hand-derived vectors: {codec.passed}")
-    assert sweep.codec_failures == []
+    assert found == []
     assert codec.passed

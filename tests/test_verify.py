@@ -9,13 +9,21 @@ import pytest
 from wellcov import (
     codec_suite,
     corollary_discrepancies,
+    encode,
     equivalence_discrepancies,
     examples_suite,
     generate,
+    is_in_wp_ridge,
     run_suite,
     sweep_catalog,
 )
 from wellcov.verify import catalog_suite
+
+
+def flip_ridge(monkeypatch):
+    """Make the catalog checks' ridge decider disagree everywhere."""
+    monkeypatch.setattr(
+        "wellcov.verify.is_in_wp_ridge", lambda g, p: not is_in_wp_ridge(g, p))
 
 
 class TestPerGraphChecks:
@@ -23,9 +31,13 @@ class TestPerGraphChecks:
         assert equivalence_discrepancies(c5, (1, 2, 3)) == []
         assert corollary_discrepancies(c5, (1, 2, 3)) == []
 
-    def test_records_carry_location(self, c5):
+    def test_records_carry_location(self, c5, monkeypatch):
+        flip_ridge(monkeypatch)
         recs = equivalence_discrepancies(c5, (1,))
-        assert recs == []
+        assert recs == [{
+            "check": "deciders", "graph6": encode(c5), "n": 5, "p": 1,
+            "detail": "oracle=True ridge=False localization=True",
+        }]
 
 
 class TestSweep:
@@ -34,6 +46,22 @@ class TestSweep:
         assert sweep.ok
         assert sweep.graphs_checked == 2 + 8 + 64 + 1
         assert sweep.discrepancies() == []
+
+    def test_records_filed_by_check(self, monkeypatch):
+        flip_ridge(monkeypatch)
+        sweep = sweep_catalog(3)
+        assert not sweep.ok
+        records = sweep.discrepancies()
+        # one record per graph and p: 1 + 2 + 8 graphs at p in (1, 2, 3)
+        assert len(records) == 11 * 3
+        assert sweep.discrepancies("deciders") == records
+        assert sweep.discrepancies("conditions", "codec") == []
+        assert all(list(rec) == ["check", "graph6", "n", "p", "detail"]
+                   for rec in records)
+
+        result, _ = catalog_suite(3, (1,))
+        assert [line.key for line in result.lines if not line.passed] == [
+            "deciders-agree"]
 
     def test_find_hits_at_n4(self):
         sweep = sweep_catalog(4)
