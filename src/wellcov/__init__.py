@@ -47,6 +47,7 @@ from .wp import (
     is_in_wp_ridge,
     main_theorem_report,
     non_critical_edge,
+    theorem_reports,
     w_index,
     wp_oracle_counterexample,
 )

@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from .catalog import HARD_MAX_N, catalog_size, labeled_graphs
-from .families import FAMILY_NAMES, FamilySpec, generate
+from .families import FAMILY_NAMES, generate
 from .graph6 import Graph6Error, decode, encode, iter_stream
 from .graphs import Graph, complement
 from .independence import independence_number, is_well_covered
@@ -28,13 +28,11 @@ from .saturation import (
 )
 from .verify import (
     SUITE_NAMES,
-    catalog_suite,
     corollary_discrepancies,
     equivalence_discrepancies,
     run_suite,
 )
 from .wp import (
-    ORACLE_VERTEX_LIMIT,
     OracleSizeError,
     edge_localization_scan,
     is_alpha_critical_direct,
@@ -42,7 +40,7 @@ from .wp import (
     is_in_wp_localization,
     is_in_wp_oracle,
     is_in_wp_ridge,
-    main_theorem_report,
+    theorem_reports,
     w_index,
 )
 
@@ -77,7 +75,7 @@ def _parse_p_values(text: str) -> tuple[int, ...]:
 
 def _resolve_input(text: str) -> tuple[Graph, str]:
     """Family spec or graph6 line; returns the graph and a source tag."""
-    name = text.split(":", 1)[0].strip().replace("-", "_")
+    name = text.split(":", 1)[0].strip().replace("-", "_").lower()
     if name in FAMILY_NAMES:
         fam = generate(text)
         return fam.graph, f"family:{fam.spec.name}"
@@ -107,13 +105,16 @@ def _analysis_report(
     direct = is_alpha_critical_direct(g)
     by_fibers, uncovered = is_alpha_critical_fibers(g)
     h = complement(g)
-    oracle_ok = g.n <= ORACLE_VERTEX_LIMIT or allow_large
 
+    memo: dict = {}
     membership = []
     for p in p_values:
-        oracle = is_in_wp_oracle(g, p, allow_large=allow_large) if oracle_ok else None
+        try:
+            oracle = is_in_wp_oracle(g, p, allow_large=allow_large)
+        except OracleSizeError:
+            oracle = None
         ridge = is_in_wp_ridge(g, p)
-        local = is_in_wp_localization(g, p)
+        local = is_in_wp_localization(g, p, memo)
         membership.append({
             "p": p,
             "in_class": ridge,
@@ -270,9 +271,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     found = []
                     alpha = independence_number(g)
                     if args.r is None or alpha == args.r:
+                        reports = theorem_reports(g, p_values, allow_large=args.allow_large)
                         for p in p_values:
-                            rep = main_theorem_report(g, p, allow_large=args.allow_large)
-                            if rep.all_true:
+                            if reports[p].all_true:
                                 hits.append({"where": label, "graph6": encode(g),
                                              "n": g.n, "r": alpha, "p": p})
                                 if not args.json:

@@ -11,8 +11,9 @@ One enumeration engine serves both sides of complementation: maximal
 independent sets are the maximal cliques of the complement, found by
 pivoting branch-and-bound on bitmask rows, and independent sets of a
 fixed size are the cliques of that size in the complement.
-`clique_masks_of_size` takes bitmask rows, so the clique side of
-`saturation` calls it directly on a graph's own rows.
+`maximal_clique_masks` and `clique_masks_of_size` take bitmask rows, so
+the clique side of `saturation` calls them directly on a graph's own
+rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .bitset import VertexSet
 from .graphs import Graph
 
 
-def _maximal_cliques(rows: Sequence[int], n: int) -> list[int]:
+def maximal_clique_masks(rows: Sequence[int], n: int) -> list[int]:
     """All maximal cliques of the graph given by bitmask rows, as masks."""
     out: list[int] = []
 
@@ -85,7 +86,7 @@ def maximal_independent_set_masks(g: Graph) -> tuple[int, ...]:
     """Maximal independent sets as bitmasks, ascending (colex order)."""
     full = (1 << g.n) - 1
     comp_rows = [row ^ full ^ (1 << v) for v, row in enumerate(g.adj)]
-    return tuple(sorted(_maximal_cliques(comp_rows, g.n)))
+    return tuple(sorted(maximal_clique_masks(comp_rows, g.n)))
 
 
 def maximal_independent_sets(g: Graph) -> tuple[VertexSet, ...]:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .bitset import VertexSet
 from .graphs import Graph, complement, connected_components
-from .independence import clique_masks_of_size, maximal_independent_sets
+from .independence import clique_masks_of_size, maximal_clique_masks
 
 HYPOTHESIS_UNMET = "hypothesis_unmet"
 HOLDS = "holds"
@@ -64,12 +64,8 @@ def is_kt_saturated(h: Graph, t: int) -> bool:
 
 
 def maximal_clique_sizes_uniform(h: Graph) -> tuple[bool, int]:
-    """(all maximal cliques share one size, largest maximal clique size).
-
-    Maximal cliques are the maximal independent sets of the complement;
-    the shared enumeration engine is reused through that identity.
-    """
-    sizes = {len(s) for s in maximal_independent_sets(complement(h))}
+    """(all maximal cliques share one size, largest maximal clique size)."""
+    sizes = {m.bit_count() for m in maximal_clique_masks(h.adj, h.n)}
     return (len(sizes) == 1, max(sizes))
 
 

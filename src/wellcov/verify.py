@@ -45,7 +45,7 @@ from .wp import (
     is_in_wp_localization,
     is_in_wp_oracle,
     is_in_wp_ridge,
-    main_theorem_report,
+    theorem_reports,
     w_index,
 )
 
@@ -68,9 +68,9 @@ def _theorem_reports(
 ) -> dict:
     if reports is None:
         reports = {}
-    for p in p_values:
-        if p not in reports:
-            reports[p] = main_theorem_report(g, p, allow_large=allow_large)
+    missing = [p for p in p_values if p not in reports]
+    if missing:
+        reports.update(theorem_reports(g, missing, allow_large=allow_large))
     return reports
 
 

@@ -26,6 +26,10 @@ The sharing rule, precisely:
     keeps that verdict as `TheoremReport.oracle`, and the catalog
     checks read the oracle decider from it instead of running the
     oracle a second time.
+  * Every route but the literal oracle computes its largest p once per
+    graph, and its answer at each p is a threshold on that number: the
+    ridge decider's `w_index`, the localization recursion's smallest
+    complete base, and the levels of conditions (b)-(d).
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
 """
@@ -33,7 +37,7 @@ The sharing rule, precisely:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .bitset import VertexSet
 from .graphs import Edge, Graph, complement, delete_edge, edge_localization, induced_subgraph
@@ -155,8 +159,7 @@ def is_in_wp_ridge(g: Graph, p: int) -> bool:
     """Membership via purity plus the fiber size floor."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    prof = profile(g)
-    return prof.is_pure and prof.min_fiber_size >= p
+    return (w := w_index(g)) is not None and w >= p
 
 
 def is_in_wp_localization(g: Graph, p: int, memo: dict | None = None) -> bool:
@@ -165,34 +168,33 @@ def is_in_wp_localization(g: Graph, p: int, memo: dict | None = None) -> bool:
     Every vertex localization must drop the independence number by
     exactly one and stay in the class; the base case is a complete
     graph on at least p vertices.  A shared memo dict lets catalog
-    sweeps reuse work across graphs.
+    sweeps reuse work across graphs and levels.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    return _wp_local(g, p, {} if memo is None else memo)
+    return _local_index(g, {} if memo is None else memo) >= p
 
 
-def _wp_local(g: Graph, p: int, memo: dict) -> bool:
-    key = (g.adj, p)
-    hit = memo.get(key)
+def _local_index(g: Graph, memo: dict) -> int:
+    """The order of the smallest complete base the recursion reaches, or
+    0 once a vertex localization fails to drop alpha by exactly one."""
+    hit = memo.get(g.adj)
     if hit is not None:
         return hit
     alpha = independence_number(g)
     if alpha == 1:
-        result = g.is_complete() and g.n >= p
+        result = g.n if g.is_complete() else 0
     else:
-        result = True
+        result = g.n
         full = (1 << g.n) - 1
         for v in range(g.n):
             keep = full & ~(g.adj[v] | 1 << v)
-            if keep == 0:
-                result = False
+            sub = induced_subgraph(g, VertexSet(g.n, keep)).graph if keep else None
+            drops = sub is not None and independence_number(sub) == alpha - 1
+            result = min(result, _local_index(sub, memo)) if drops else 0
+            if result == 0:
                 break
-            sub = induced_subgraph(g, VertexSet(g.n, keep)).graph
-            if independence_number(sub) != alpha - 1 or not _wp_local(sub, p, memo):
-                result = False
-                break
-    memo[key] = result
+    memo[g.adj] = result
     return result
 
 
@@ -259,7 +261,10 @@ class TheoremReport:
     cond_d: saturation, clique uniformity, and clique codegree on the
             complement.
 
-    witnesses holds one failure exhibit per failing condition.
+    Each of (b)-(d) holds when its per-graph level is at least p: 0 if
+    the structural part fails, else the minimum ridge degree, fiber
+    size, or clique codegree.  witnesses holds one failure exhibit per
+    failing condition; a thin_* exhibit names the thinnest one.
     """
 
     p: int
@@ -292,88 +297,83 @@ def _cond_a(g: Graph, bad: tuple[VertexSet, ...] | None) -> tuple[bool, dict | N
     return True, None
 
 
-def _cond_b(g: Graph, p: int, prof: IndependenceProfile) -> tuple[bool, dict | None]:
-    sizes = {len(f) for f in prof.facets}
-    if len(sizes) != 1:
+def _cond_b(g: Graph, prof: IndependenceProfile) -> tuple[int, dict]:
+    if not prof.is_pure:
         small = min(prof.facets, key=len)
-        return False, {"kind": "impure_complex", "facet": small.to_tuple()}
-    for ridge in prof.ridges:
-        # the ridge's link has exactly the fiber as vertex set
-        if len(ridge.fiber) < p:
-            return False, {
-                "kind": "thin_ridge",
-                "ridge": ridge.vertices.to_tuple(),
-                "degree": len(ridge.fiber),
-            }
+        return 0, {"kind": "impure_complex", "facet": small.to_tuple()}
     for e in g.edges():
         pair = 1 << e.u | 1 << e.v
         if not any(pair & r.fiber.bits == pair for r in prof.ridges):
-            return False, {"kind": "missing_edge_outside_links", "edge": e.endpoints()}
-    return True, None
+            return 0, {"kind": "missing_edge_outside_links", "edge": e.endpoints()}
+    # the ridge's link has exactly the fiber as vertex set
+    thin = min(prof.ridges, key=lambda ridge: len(ridge.fiber))
+    degree = len(thin.fiber)
+    return degree, {"kind": "thin_ridge", "ridge": thin.vertices.to_tuple(), "degree": degree}
 
 
-def _cond_c(g: Graph, p: int) -> tuple[bool, dict | None]:
+def _cond_c(g: Graph) -> tuple[int, dict]:
     mis = maximal_independent_set_masks(g)
     alpha = max(m.bit_count() for m in mis)
     for m in mis:
         if m.bit_count() != alpha:
-            return False, {
+            return 0, {
                 "kind": "not_well_covered",
                 "maximal_set": VertexSet(g.n, m).to_tuple(),
             }
     omega = set(mis)
     covered = 0
+    fibers = {}
     for s in independent_masks_of_size(g, alpha - 1):
-        members = [x for x in range(g.n) if not s >> x & 1 and (s | 1 << x) in omega]
-        if len(members) < p:
-            return False, {
-                "kind": "thin_fiber",
-                "ridge": VertexSet(g.n, s).to_tuple(),
-                "fiber": members,
-            }
+        members = fibers[s] = [
+            x for x in range(g.n) if not s >> x & 1 and (s | 1 << x) in omega]
         for i, x in enumerate(members):
             for y in members[i + 1:]:
                 covered |= 1 << (x * g.n + y)
     for e in g.edges():
         if not covered >> (e.u * g.n + e.v) & 1:
-            return False, {"kind": "uncovered_edge", "edge": e.endpoints()}
-    return True, None
+            return 0, {"kind": "uncovered_edge", "edge": e.endpoints()}
+    thin = min(fibers, key=lambda s: len(fibers[s]))
+    ridge, fiber = VertexSet(g.n, thin).to_tuple(), fibers[thin]
+    return len(fiber), {"kind": "thin_fiber", "ridge": ridge, "fiber": fiber}
 
 
-def _cond_d(g: Graph, p: int, r: int) -> tuple[bool, dict | None]:
+def _cond_d(g: Graph, r: int) -> tuple[int, dict]:
     h = complement(g)
     uniform, size = maximal_clique_sizes_uniform(h)
     if not uniform or size != r:
-        return False, {
+        return 0, {
             "kind": "clique_sizes_not_uniform_r",
             "uniform": uniform,
             "size": size,
         }
     if not is_kt_saturated(h, r + 1):
-        return False, {"kind": "not_saturated", "t": r + 1}
+        return 0, {"kind": "not_saturated", "t": r + 1}
     codeg = min_clique_codegree(h, r)
-    if codeg < p:
-        return False, {"kind": "thin_clique_codegree", "min_codegree": codeg}
-    return True, None
+    return codeg, {"kind": "thin_clique_codegree", "min_codegree": codeg}
+
+
+def theorem_reports(
+    g: Graph, p_values: Iterable[int], *, allow_large: bool = False
+) -> dict[int, TheoremReport]:
+    """The theorem report at each p: the levels of conditions (b)-(d)
+    are computed once, the oracle and condition (a) once per p."""
+    # the oracle runs first, so its argument and size checks fail fast
+    bad = {p: wp_oracle_counterexample(g, p, allow_large=allow_large) for p in p_values}
+    r = independence_number(g)
+    levels = {"cond_b": _cond_b(g, profile(g)), "cond_c": _cond_c(g), "cond_d": _cond_d(g, r)}
+    reports = {}
+    for p, family in bad.items():
+        a, wa = _cond_a(g, family)
+        witnesses = {} if wa is None else {"cond_a": wa}
+        witnesses.update((name, w) for name, (level, w) in levels.items() if level < p)
+        flags = {name: level >= p for name, (level, _) in levels.items()}
+        reports[p] = TheoremReport(p=p, r=r, oracle=family is None, cond_a=a,
+                                   witnesses=witnesses, **flags)
+    return reports
 
 
 def main_theorem_report(g: Graph, p: int, *, allow_large: bool = False) -> TheoremReport:
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    r = independence_number(g)
-    prof = profile(g)
-    bad = wp_oracle_counterexample(g, p, allow_large=allow_large)
-    a, wa = _cond_a(g, bad)
-    b, wb = _cond_b(g, p, prof)
-    c, wc = _cond_c(g, p)
-    d, wd = _cond_d(g, p, r)
-    witnesses = {}
-    for name, w in (("cond_a", wa), ("cond_b", wb), ("cond_c", wc), ("cond_d", wd)):
-        if w is not None:
-            witnesses[name] = w
-    return TheoremReport(
-        p=p, r=r, oracle=bad is None, cond_a=a, cond_b=b, cond_c=c, cond_d=d,
-        witnesses=witnesses)
+    return theorem_reports(g, (p,), allow_large=allow_large)[p]
 
 
 @dataclass(frozen=True, slots=True)

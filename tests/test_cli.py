@@ -60,6 +60,13 @@ class TestAnalyze:
         assert all(m["oracle"] is None for m in report["membership"])
         assert all(m["agree"] for m in report["membership"])
 
+    def test_family_name_ignores_case(self, capsys):
+        code, out, _ = run(capsys, "analyze", "PETERSEN")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["input"]["source"] == "family:petersen"
+        assert report["input"]["n"] == 10
+
     def test_bad_input_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "nosuch:n=1")
         assert code == EXIT_USAGE

@@ -25,6 +25,7 @@ from wellcov import (
     localization,
     main_theorem_report,
     non_critical_edge,
+    theorem_reports,
     w_index,
     wp_oracle_counterexample,
 )
@@ -39,9 +40,10 @@ def small_catalog(max_n: int):
 
 class TestDeciders:
     def test_three_routes_agree_n4(self):
+        # up to n + 1, so complete graphs (W-index n) meet the top level
         memo: dict = {}
         for g in small_catalog(4):
-            for p in (1, 2, 3):
+            for p in range(1, g.n + 2):
                 o = is_in_wp_oracle(g, p)
                 assert o == is_in_wp_ridge(g, p)
                 assert o == is_in_wp_localization(g, p, memo)
@@ -221,6 +223,23 @@ class TestTheoremReport:
         for g in small_catalog(4):
             for p in (1, 2):
                 assert main_theorem_report(g, p).all_equal
+
+    def test_witness_exactly_when_failing_n5(self):
+        thinness = {
+            "thin_ridge": lambda w: w["degree"],
+            "thin_fiber": lambda w: len(w["fiber"]),
+            "thin_clique_codegree": lambda w: w["min_codegree"],
+        }
+        for g in small_catalog(5):
+            reports = theorem_reports(g, (1, 2, 3))
+            for p, rep in reports.items():
+                assert rep.p == p
+                assert rep == main_theorem_report(g, p)
+                for name in ("cond_a", "cond_b", "cond_c", "cond_d"):
+                    assert (name in rep.witnesses) == (not getattr(rep, name))
+                for w in rep.witnesses.values():
+                    if w["kind"] in thinness:
+                        assert thinness[w["kind"]](w) < p
 
     def test_blowup_instances(self):
         # n = 14 at q = 2 is past the oracle guard but its independent
