@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TextIO
+import time
+from typing import Callable, TextIO
 
 from .catalog import HARD_MAX_N, catalog_size, labeled_graphs
 from .families import FAMILY_NAMES, generate
@@ -28,6 +29,7 @@ from .saturation import (
 )
 from .verify import (
     SUITE_NAMES,
+    Progress,
     corollary_discrepancies,
     equivalence_discrepancies,
     run_suite,
@@ -39,7 +41,6 @@ from .wp import (
     is_alpha_critical_fibers,
     is_in_wp_localization,
     is_in_wp_oracle,
-    is_in_wp_ridge,
     theorem_reports,
     w_index,
 )
@@ -106,6 +107,7 @@ def _analysis_report(
     by_fibers, uncovered = is_alpha_critical_fibers(g)
     h = complement(g)
 
+    w = w_index(g)
     memo: dict = {}
     membership = []
     for p in p_values:
@@ -113,7 +115,8 @@ def _analysis_report(
             oracle = is_in_wp_oracle(g, p, allow_large=allow_large)
         except OracleSizeError:
             oracle = None
-        ridge = is_in_wp_ridge(g, p)
+        # the ridge decider at p is this threshold on its own index
+        ridge = w is not None and w >= p
         local = is_in_wp_localization(g, p, memo)
         membership.append({
             "p": p,
@@ -166,7 +169,7 @@ def _analysis_report(
         },
         "alpha": alpha,
         "well_covered": wc,
-        "w_index": w_index(g),
+        "w_index": w,
         "alpha_critical": {
             "by_edge_deletion": direct,
             "by_fiber_cover": by_fibers,
@@ -347,13 +350,25 @@ def cmd_family(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _progress(n: int, done: int, total: int) -> None:
-    print(f"catalog n={n}: {done}/{total}", file=sys.stderr)
+def _progress(clock: Callable[[], float] = time.perf_counter) -> Progress:
+    """A progress printer for catalog sweeps.  Rate and ETA for each
+    order n are measured from the first line printed for that order."""
+    first: dict[int, tuple[int, float]] = {}
+
+    def report(n: int, done: int, total: int) -> None:
+        now = clock()
+        done0, t0 = first.setdefault(n, (done, now))
+        line = f"catalog n={n}: {done}/{total}"
+        if done > done0 and now > t0:
+            rate = (done - done0) / (now - t0)
+            line += f", {rate:.0f} graphs/s, ETA {(total - done) / rate:.0f} s"
+        print(line, file=sys.stderr)
+    return report
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        results = run_suite(args.suite, progress=_progress if args.progress else None)
+        results = run_suite(args.suite, progress=_progress() if args.progress else None)
     except ValueError as exc:
         return _fail(str(exc))
     if args.json:

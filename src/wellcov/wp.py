@@ -5,8 +5,9 @@ disjoint independent sets extend to p pairwise disjoint maximum
 independent sets.  Three deciders with unrelated mechanisms are kept
 side by side on purpose:
 
-  * the oracle enumerates every disjoint p-tuple literally and tries to
-    extend each one (exponential; guarded behind a vertex cap),
+  * the oracle enumerates every unordered family of p disjoint
+    independent sets literally and tries to extend each one
+    (exponential; guarded behind a vertex cap),
   * the ridge decider checks purity plus a fiber size floor,
   * the localization decider recurses on vertex localizations until the
     complete base case.
@@ -64,9 +65,15 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
     """First pairwise disjoint p-tuple of independent sets (as masks)
     with no disjoint extension to maximum independent sets, else None.
 
-    Literal ordered enumeration over all tuples, empty sets included.
-    Found extensions are cached: a later tuple dominated slot by slot
-    by a cached witness extends without a fresh search.
+    The definition does not depend on the order of the p sets: permuting
+    a family permutes its extensions.  So every unordered family is
+    enumerated once, as the tuple whose sets have non-decreasing
+    positions in `ind`, empty sets included.  Each slot starts at the
+    previous slot's index rather than the one after it, so the empty
+    set (index 0) can fill several slots; a nonempty set cannot repeat,
+    since it meets `used`.  Found extensions are cached: a later tuple
+    dominated slot by slot by a cached witness extends without a fresh
+    search.
     """
     ind = independent_set_masks(g)
     mis = maximal_independent_set_masks(g)
@@ -97,7 +104,7 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
             return False
         return tuple(chosen) if place(0, 0) else None
 
-    def search(slot: int, used: int) -> tuple[int, ...] | None:
+    def search(slot: int, start: int, used: int) -> tuple[int, ...] | None:
         if slot == p:
             snapshot = tuple(family)
             for w in witnesses:
@@ -108,15 +115,16 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
                 return snapshot
             witnesses.append(found)
             return None
-        for a in ind:
+        for i in range(start, len(ind)):
+            a = ind[i]
             if a & used == 0:
                 family[slot] = a
-                bad = search(slot + 1, used | a)
+                bad = search(slot + 1, i, used | a)
                 if bad is not None:
                     return bad
         return None
 
-    return search(0, 0)
+    return search(0, 0, 0)
 
 
 def _oracle(g: Graph, p: int, allow_large: bool) -> tuple[int, ...] | None:

@@ -6,7 +6,7 @@ bug would have to appear in both routes to slip through a cross-check.
 Usable up to a dozen vertices or so.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from wellcov import Graph
 
@@ -60,3 +60,31 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     pool = set(cliques)
     out = [c for c in cliques if c and not any(c < d for d in pool)]
     return sorted(tuple(sorted(c)) for c in out)
+
+
+def pairwise_disjoint(sets) -> bool:
+    return all(not set(a) & set(b) for a, b in combinations(sets, 2))
+
+
+def maximum_independent_sets(g: Graph) -> list[set[int]]:
+    a = alpha(g)
+    return [set(vs) for vs in independent_sets(g) if len(vs) == a]
+
+
+def extends(family, maximum) -> bool:
+    """Do the sets of this family lie, slot by slot, inside pairwise
+    disjoint sets taken from maximum?"""
+    return any(
+        pairwise_disjoint(tops) and all(set(s) <= t for s, t in zip(family, tops))
+        for tops in product(maximum, repeat=len(family)))
+
+
+def is_in_wp(g: Graph, p: int) -> bool:
+    """W_p by its definition over ordered p-tuples: at least p vertices,
+    and every pairwise disjoint tuple of independent sets extends to
+    pairwise disjoint maximum independent sets."""
+    maximum = maximum_independent_sets(g)
+    return g.n >= p and all(
+        extends(family, maximum)
+        for family in product(independent_sets(g), repeat=p)
+        if pairwise_disjoint(family))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wellcov.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, main
+from wellcov.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, _progress, main
 
 
 def run(capsys, *argv):
@@ -192,3 +192,18 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "nosuch"])
         assert info.value.code == EXIT_USAGE
+
+    def test_progress_rate_and_eta(self, capsys):
+        ticks = iter([10.0, 14.0, 18.0, 20.0])
+        report = _progress(lambda: next(ticks))
+        report(6, 0, 32768)
+        report(6, 4096, 32768)
+        # a new order starts its own clock
+        report(7, 0, 2097152)
+        report(7, 4096, 2097152)
+        assert capsys.readouterr().err.splitlines() == [
+            "catalog n=6: 0/32768",
+            "catalog n=6: 4096/32768, 1024 graphs/s, ETA 28 s",
+            "catalog n=7: 0/2097152",
+            "catalog n=7: 4096/2097152, 2048 graphs/s, ETA 1022 s",
+        ]

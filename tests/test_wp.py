@@ -1,8 +1,9 @@
 """Membership deciders, criticality, theorem reports, localization scans.
 
-The three deciders are cross-checked on the full n <= 4 catalog here
-(the oracle included) and the ridge/localization pair up to n = 5; the
-complete n = 6 run belongs to the acceptance suite.
+The three deciders are cross-checked on the full n <= 5 catalog here at
+every level up to n + 1, and the oracle against a naive ordered-tuple
+reference at p <= 3; the complete n = 6 run belongs to the acceptance
+suite.
 """
 
 import pytest
@@ -32,6 +33,8 @@ from wellcov import (
 from wellcov.bitset import VertexSet
 from wellcov.catalog import labeled_graphs
 
+from tests import _naive
+
 
 def small_catalog(max_n: int):
     for n in range(1, max_n + 1):
@@ -39,14 +42,20 @@ def small_catalog(max_n: int):
 
 
 class TestDeciders:
-    def test_three_routes_agree_n4(self):
+    def test_three_routes_agree_n5(self):
         # up to n + 1, so complete graphs (W-index n) meet the top level
         memo: dict = {}
-        for g in small_catalog(4):
+        for g in small_catalog(5):
             for p in range(1, g.n + 2):
                 o = is_in_wp_oracle(g, p)
                 assert o == is_in_wp_ridge(g, p)
                 assert o == is_in_wp_localization(g, p, memo)
+
+    def test_oracle_matches_naive_n5(self):
+        # the reference walks ordered tuples, the oracle unordered families
+        for g in small_catalog(5):
+            for p in (1, 2, 3):
+                assert is_in_wp_oracle(g, p) == _naive.is_in_wp(g, p)
 
     def test_membership_is_downward_monotone(self):
         for g in small_catalog(5):
@@ -81,16 +90,22 @@ class TestDeciders:
             is_in_wp_oracle(g, 1)
         assert is_in_wp_oracle(g, 1, allow_large=True) == is_in_wp_ridge(g, 1)
 
-    def test_counterexample_is_unextendable(self, c7):
-        witness = wp_oracle_counterexample(c7, 2)
-        assert witness is not None
-        # disjoint independent sets by construction
-        seen = VertexSet.empty(7)
-        for part in witness:
-            assert seen.isdisjoint(part)
-            seen = seen | part
-        assert wp_oracle_counterexample(c5 := generate("cycle:n=5").graph, 2) is None
-        assert is_in_wp_oracle(c5, 2)
+    def test_counterexample_is_unextendable(self):
+        checked = 0
+        for g in small_catalog(5):
+            maximum = _naive.maximum_independent_sets(g)
+            for p in (1, 2, 3):
+                witness = wp_oracle_counterexample(g, p)
+                if witness is None:
+                    continue
+                family = [part.to_tuple() for part in witness]
+                assert len(family) == p
+                assert all(_naive.is_independent(g, part) for part in family)
+                assert _naive.pairwise_disjoint(family)
+                assert not _naive.extends(family, maximum)
+                checked += 1
+        # every non-member of the n <= 5 catalog at p <= 3
+        assert checked == 2878
 
 
 class TestWIndex:
