@@ -19,13 +19,11 @@ from .graphs import (
     induced_subgraph,
     lexicographic_product,
     localization,
-    open_neighborhood,
 )
 from .graph6 import Graph6Error, decode, encode, iter_stream
 from .families import FamilyGraph, FamilySpec, FAMILY_NAMES, generate
 from .independence import (
     IndependenceProfile,
-    Ridge,
     fiber,
     independence_number,
     is_well_covered,

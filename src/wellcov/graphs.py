@@ -146,15 +146,6 @@ def delete_edge(g: Graph, e: Edge | tuple[int, int]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def open_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    if s.universe != g.n:
-        raise ValueError("vertex set universe does not match the graph")
-    bits = 0
-    for v in s:
-        bits |= g.adj[v]
-    return VertexSet(g.n, bits & ~s.bits)
-
-
 def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
     if s.universe != g.n:
         raise ValueError("vertex set universe does not match the graph")

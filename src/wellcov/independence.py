@@ -145,44 +145,47 @@ def is_well_covered(g: Graph) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class Ridge:
-    vertices: VertexSet
-    fiber: VertexSet
-
-
-@dataclass(frozen=True, slots=True)
 class IndependenceProfile:
+    """The ridge table of a graph, held as bitmasks.
+
+    facets are the maximal independent sets and ridges the independent
+    sets of size alpha - 1, each ascending; fibers[i] is the fiber of
+    ridges[i].
+    """
+
     alpha: int
-    facets: tuple[VertexSet, ...]
+    facets: tuple[int, ...]
     is_pure: bool
-    ridges: tuple[Ridge, ...]
+    ridges: tuple[int, ...]
+    fibers: tuple[int, ...]
 
     @property
     def min_fiber_size(self) -> int:
-        return min(len(r.fiber) for r in self.ridges)
+        return min(f.bit_count() for f in self.fibers)
 
 
 def profile(g: Graph) -> IndependenceProfile:
     """Facets, purity, and every ridge with its fiber, in colex order."""
-    facet_masks = maximal_independent_set_masks(g)
-    alpha = max(m.bit_count() for m in facet_masks)
-    pure = all(m.bit_count() == alpha for m in facet_masks)
+    facets = maximal_independent_set_masks(g)
+    alpha = max(m.bit_count() for m in facets)
     full = (1 << g.n) - 1
     rows = g.adj
-    ridges = []
-    for s in independent_masks_of_size(g, alpha - 1):
+    ridges = independent_masks_of_size(g, alpha - 1)
+    fibers = []
+    for s in ridges:
         closed = s
         bits = s
         while bits:
             low = bits & -bits
             bits ^= low
             closed |= rows[low.bit_length() - 1]
-        ridges.append(Ridge(VertexSet(g.n, s), VertexSet(g.n, full & ~closed)))
+        fibers.append(full & ~closed)
     return IndependenceProfile(
         alpha=alpha,
-        facets=tuple(VertexSet(g.n, m) for m in facet_masks),
-        is_pure=pure,
-        ridges=tuple(ridges),
+        facets=facets,
+        is_pure=all(m.bit_count() == alpha for m in facets),
+        ridges=ridges,
+        fibers=tuple(fibers),
     )
 
 

@@ -83,13 +83,16 @@ def equivalence_discrepancies(
     reports: dict | None = None,
 ) -> list[dict]:
     """Decider agreement and four-way condition agreement for one graph."""
+    p_values = tuple(p_values)
     out = []
     reports = _theorem_reports(g, p_values, reports, allow_large)
+    # the ridge decider is a threshold on the W-index, read once per graph
+    w = w_index(g)
     for p in p_values:
         rep = reports[p]
         # the oracle decider's verdict is the first step of condition (a)
         o = rep.oracle
-        ri = is_in_wp_ridge(g, p)
+        ri = w is not None and w >= p
         lo = is_in_wp_localization(g, p, memo)
         if not o == ri == lo:
             out.append(_record(
@@ -111,6 +114,7 @@ def corollary_discrepancies(
 ) -> list[dict]:
     """Specializations, duality, criticality, bounds, and the
     three-condition check for one graph."""
+    p_values = tuple(p_values)
     out = []
     reports = _theorem_reports(g, p_values, reports, allow_large)
     r = independence_number(g)
@@ -208,9 +212,9 @@ def sweep_catalog(
             if decode(g6).adj != g.adj:
                 sweep.records.append(_record(g, "codec", "round trip changed the graph"))
             reports: dict = {}
-            sweep.records += equivalence_discrepancies(g, p_values, memo, reports=reports)
-            sweep.records += corollary_discrepancies(g, p_values, memo=memo, reports=reports)
-            for p in p_values:
+            sweep.records += equivalence_discrepancies(g, sweep.p_values, memo, reports=reports)
+            sweep.records += corollary_discrepancies(g, sweep.p_values, memo=memo, reports=reports)
+            for p in sweep.p_values:
                 rep = reports[p]
                 if n == rep.r * p and rep.all_true:
                     sweep.find_hits.setdefault((n, rep.r, p), []).append(g6)

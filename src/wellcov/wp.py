@@ -30,7 +30,9 @@ The sharing rule, precisely:
   * Every route but the literal oracle computes its largest p once per
     graph, and its answer at each p is a threshold on that number: the
     ridge decider's `w_index`, the localization recursion's smallest
-    complete base, and the levels of conditions (b)-(d).
+    complete base, and the levels of conditions (b)-(d).  The catalog
+    checks read the ridge decider the same way, as a threshold on one
+    `w_index` per graph, instead of calling `is_in_wp_ridge` at each p.
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
 """
@@ -246,8 +248,7 @@ def non_critical_edge(g: Graph) -> Edge | None:
 def is_alpha_critical_fibers(g: Graph) -> tuple[bool, Edge | None]:
     """Criticality via the fiber cover: every edge must lie inside some
     ridge's fiber.  Returns the first uncovered edge as witness."""
-    prof = profile(g)
-    fibers = [r.fiber.bits for r in prof.ridges]
+    fibers = profile(g).fibers
     for e in g.edges():
         pair = 1 << e.u | 1 << e.v
         if not any(pair & f == pair for f in fibers):
@@ -307,16 +308,16 @@ def _cond_a(g: Graph, bad: tuple[VertexSet, ...] | None) -> tuple[bool, dict | N
 
 def _cond_b(g: Graph, prof: IndependenceProfile) -> tuple[int, dict]:
     if not prof.is_pure:
-        small = min(prof.facets, key=len)
-        return 0, {"kind": "impure_complex", "facet": small.to_tuple()}
+        small = min(prof.facets, key=int.bit_count)
+        return 0, {"kind": "impure_complex", "facet": VertexSet(g.n, small).to_tuple()}
     for e in g.edges():
         pair = 1 << e.u | 1 << e.v
-        if not any(pair & r.fiber.bits == pair for r in prof.ridges):
+        if not any(pair & f == pair for f in prof.fibers):
             return 0, {"kind": "missing_edge_outside_links", "edge": e.endpoints()}
     # the ridge's link has exactly the fiber as vertex set
-    thin = min(prof.ridges, key=lambda ridge: len(ridge.fiber))
-    degree = len(thin.fiber)
-    return degree, {"kind": "thin_ridge", "ridge": thin.vertices.to_tuple(), "degree": degree}
+    degree = prof.min_fiber_size
+    thin = next(s for s, f in zip(prof.ridges, prof.fibers) if f.bit_count() == degree)
+    return degree, {"kind": "thin_ridge", "ridge": VertexSet(g.n, thin).to_tuple(), "degree": degree}
 
 
 def _cond_c(g: Graph) -> tuple[int, dict]:

@@ -51,6 +51,25 @@ class TestAgainstNaive:
                 sum(1 << v for v in vs) for vs in _naive.independent_sets(g))
             assert list(got) == want
 
+    def test_profile_matches_naive(self):
+        for g in small_catalog(5):
+            prof = profile(g)
+            alpha = _naive.alpha(g)
+            maximum = {frozenset(s) for s in _naive.maximum_independent_sets(g)}
+            assert prof.alpha == alpha
+            assert sorted(VertexSet(g.n, m).to_tuple() for m in prof.facets) == (
+                _naive.maximal_independent_sets(g))
+            assert prof.is_pure == _naive.is_well_covered(g)
+            assert list(prof.ridges) == sorted(
+                sum(1 << v for v in vs)
+                for vs in _naive.independent_sets(g) if len(vs) == alpha - 1)
+            assert len(prof.fibers) == len(prof.ridges)
+            for s, f in zip(prof.ridges, prof.fibers):
+                ridge = set(VertexSet(g.n, s))
+                want = sum(1 << x for x in range(g.n)
+                           if x not in ridge and frozenset(ridge | {x}) in maximum)
+                assert f == want
+
     def test_sets_of_fixed_size_match(self):
         for g in small_catalog(4):
             for k in range(g.n + 2):
@@ -75,9 +94,9 @@ class TestProfile:
         assert len(prof.facets) == 5
         # ridges of C_5 are its five vertices; each fiber is the
         # nonneighbor pair
-        assert [r.vertices.to_tuple() for r in prof.ridges] == [
+        assert [VertexSet(5, m).to_tuple() for m in prof.ridges] == [
             (0,), (1,), (2,), (3,), (4,)]
-        assert prof.ridges[0].fiber.to_tuple() == (2, 3)
+        assert VertexSet(5, prof.fibers[0]).to_tuple() == (2, 3)
         assert prof.min_fiber_size == 2
 
     def test_star_impure(self, star):
@@ -85,7 +104,7 @@ class TestProfile:
         assert prof.alpha == 3
         assert not prof.is_pure
         # ridges exist regardless of purity
-        assert [r.vertices.to_tuple() for r in prof.ridges] == [
+        assert [VertexSet(4, m).to_tuple() for m in prof.ridges] == [
             (1, 2), (1, 3), (2, 3)]
 
     def test_complete_graph_single_empty_ridge(self):
@@ -93,19 +112,21 @@ class TestProfile:
         prof = profile(k4)
         assert prof.alpha == 1
         assert len(prof.ridges) == 1
-        assert prof.ridges[0].vertices.to_tuple() == ()
-        assert prof.ridges[0].fiber.to_tuple() == (0, 1, 2, 3)
+        assert VertexSet(4, prof.ridges[0]).to_tuple() == ()
+        assert VertexSet(4, prof.fibers[0]).to_tuple() == (0, 1, 2, 3)
 
     def test_fiber_is_unconditional_complement_of_neighborhood(self):
         for g in small_catalog(5):
-            for ridge in profile(g).ridges:
-                expected = closed_neighborhood(g, ridge.vertices).complement()
-                assert ridge.fiber.bits == expected.bits
+            prof = profile(g)
+            assert len(prof.fibers) == len(prof.ridges)
+            for s, f in zip(prof.ridges, prof.fibers):
+                expected = closed_neighborhood(g, VertexSet(g.n, s)).complement()
+                assert f == expected.bits
 
     def test_fibers_induce_cliques(self):
         for g in small_catalog(5):
-            for ridge in profile(g).ridges:
-                vs = ridge.fiber.to_tuple()
+            for f in profile(g).fibers:
+                vs = VertexSet(g.n, f).to_tuple()
                 assert all(
                     g.has_edge(u, v)
                     for i, u in enumerate(vs) for v in vs[i + 1:])

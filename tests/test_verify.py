@@ -4,6 +4,8 @@ The full n = 6 sweep is exercised by the acceptance suite; here the
 machinery itself is checked at n <= 4 where a run takes milliseconds.
 """
 
+import sys
+
 import pytest
 
 from wellcov import (
@@ -13,17 +15,19 @@ from wellcov import (
     equivalence_discrepancies,
     examples_suite,
     generate,
-    is_in_wp_ridge,
+    is_in_wp_localization,
     run_suite,
     sweep_catalog,
 )
+from wellcov import independence
 from wellcov.verify import catalog_suite
 
 
-def flip_ridge(monkeypatch):
-    """Make the catalog checks' ridge decider disagree everywhere."""
+def flip_localization(monkeypatch):
+    """Make the catalog checks' localization decider disagree everywhere."""
     monkeypatch.setattr(
-        "wellcov.verify.is_in_wp_ridge", lambda g, p: not is_in_wp_ridge(g, p))
+        "wellcov.verify.is_in_wp_localization",
+        lambda g, p, memo=None: not is_in_wp_localization(g, p, memo))
 
 
 class TestPerGraphChecks:
@@ -32,12 +36,46 @@ class TestPerGraphChecks:
         assert corollary_discrepancies(c5, (1, 2, 3)) == []
 
     def test_records_carry_location(self, c5, monkeypatch):
-        flip_ridge(monkeypatch)
+        flip_localization(monkeypatch)
         recs = equivalence_discrepancies(c5, (1,))
         assert recs == [{
             "check": "deciders", "graph6": encode(c5), "n": 5, "p": 1,
-            "detail": "oracle=True ridge=False localization=True",
+            "detail": "oracle=True ridge=True localization=False",
         }]
+
+    def test_one_shot_p_values_reach_every_decider_check(self, c5, monkeypatch):
+        flip_localization(monkeypatch)
+        recs = equivalence_discrepancies(c5, (1, 2, 3))
+        assert len(recs) == 3
+        assert equivalence_discrepancies(c5, (p for p in (1, 2, 3))) == recs
+
+    def test_one_shot_p_values_reach_every_corollary_check(self, c5, monkeypatch):
+        # c5 is in W_1 and W_2 with alpha 2, so each p yields an alpha2 record
+        monkeypatch.setattr("wellcov.verify.alpha2_check", lambda h, p: False)
+        recs = corollary_discrepancies(c5, (1, 2))
+        assert [rec["check"] for rec in recs] == ["alpha2", "alpha2"]
+        assert corollary_discrepancies(c5, iter((1, 2))) == recs
+
+    def test_profiles_do_not_grow_with_p(self, c5, monkeypatch):
+        # the p-independent ridge table is read once per graph, however
+        # many levels are checked
+        built = []
+        original = independence.profile
+
+        def counting(g):
+            built.append(g)
+            return original(g)
+        callers = [mod for name, mod in sys.modules.items()
+                   if name.startswith("wellcov.") and getattr(mod, "profile", None) is original]
+        assert callers
+        for mod in callers:
+            monkeypatch.setattr(mod, "profile", counting)
+        equivalence_discrepancies(c5, (1,))
+        once = len(built)
+        assert once > 0
+        built.clear()
+        equivalence_discrepancies(c5, (1, 2, 3, 4, 5))
+        assert len(built) == once
 
 
 class TestSweep:
@@ -48,7 +86,7 @@ class TestSweep:
         assert sweep.discrepancies() == []
 
     def test_records_filed_by_check(self, monkeypatch):
-        flip_ridge(monkeypatch)
+        flip_localization(monkeypatch)
         sweep = sweep_catalog(3)
         assert not sweep.ok
         records = sweep.discrepancies()
@@ -58,6 +96,8 @@ class TestSweep:
         assert sweep.discrepancies("conditions", "codec") == []
         assert all(list(rec) == ["check", "graph6", "n", "p", "detail"]
                    for rec in records)
+        # a one-shot p_values reaches every graph, not only the first
+        assert sweep_catalog(3, iter((1, 2, 3))).discrepancies() == records
 
         result, _ = catalog_suite(3, (1,))
         assert [line.key for line in result.lines if not line.passed] == [
