@@ -40,8 +40,10 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
 
 def labeled_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
     """Every labeled graph on n vertices, in pair-mask order."""
+    if n < 1:
+        raise ValueError(f"catalog order must be at least 1 (got {n})")
     limit = HARD_MAX_N if allow_large else DEFAULT_MAX_N
-    if not 1 <= n <= limit:
+    if n > limit:
         raise ValueError(
             f"exhaustive catalog capped at {limit} vertices (got {n})"
             + ("" if allow_large else "; pass allow_large for 7")

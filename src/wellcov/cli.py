@@ -20,7 +20,7 @@ from .catalog import HARD_MAX_N, catalog_size, labeled_graphs
 from .families import FAMILY_NAMES, generate
 from .graph6 import Graph6Error, decode, encode, iter_stream
 from .graphs import Graph, complement
-from .independence import independence_number, is_well_covered
+from .independence import TABLE_BUILDERS, independence_number, is_well_covered
 from .saturation import (
     bound_report,
     is_kt_saturated,
@@ -253,6 +253,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     skipped: list[dict] = []
     discrepancies: list[dict] = []
     hits: list[dict] = []
+    cache_start = [f.cache_info() for f in TABLE_BUILDERS]
 
     try:
         source = _stream_graphs(args)
@@ -303,6 +304,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "graphs_checked": graphs_checked,
         "parse_errors": parse_errors,
         "skipped": skipped,
+        "table_cache": {
+            f.__name__: {"hits": f.cache_info().hits - start.hits,
+                         "misses": f.cache_info().misses - start.misses}
+            for f, start in zip(TABLE_BUILDERS, cache_start)},
     }
     if args.mode == "find":
         summary["r"] = args.r

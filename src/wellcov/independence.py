@@ -14,11 +14,17 @@ fixed size are the cliques of that size in the complement.
 `maximal_clique_masks` and `clique_masks_of_size` take bitmask rows, so
 the clique side of `saturation` calls them directly on a graph's own
 rows.
+
+The builders in `TABLE_BUILDERS` cache one entry each, the table of the
+last graph asked.  Tables are immutable and depend only on `(n, adj)`.
+The routes checking one graph ask back to back and the next graph
+evicts the entry, so one entry per builder covers a graph's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .bitset import VertexSet
@@ -82,6 +88,7 @@ def clique_masks_of_size(rows: Sequence[int], n: int, k: int) -> tuple[int, ...]
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
 def maximal_independent_set_masks(g: Graph) -> tuple[int, ...]:
     """Maximal independent sets as bitmasks, ascending (colex order)."""
     full = (1 << g.n) - 1
@@ -93,6 +100,7 @@ def maximal_independent_sets(g: Graph) -> tuple[VertexSet, ...]:
     return tuple(VertexSet(g.n, m) for m in maximal_independent_set_masks(g))
 
 
+@lru_cache(maxsize=1)
 def independent_set_masks(g: Graph) -> tuple[int, ...]:
     """Every independent set as a bitmask, ascending, starting at 0."""
     rows = g.adj
@@ -164,6 +172,7 @@ class IndependenceProfile:
         return min(f.bit_count() for f in self.fibers)
 
 
+@lru_cache(maxsize=1)
 def profile(g: Graph) -> IndependenceProfile:
     """Facets, purity, and every ridge with its fiber, in colex order."""
     facets = maximal_independent_set_masks(g)
@@ -187,6 +196,9 @@ def profile(g: Graph) -> IndependenceProfile:
         ridges=ridges,
         fibers=tuple(fibers),
     )
+
+
+TABLE_BUILDERS = (maximal_independent_set_masks, independent_set_masks, profile)
 
 
 def fiber(g: Graph, s: VertexSet) -> VertexSet:

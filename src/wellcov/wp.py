@@ -35,6 +35,8 @@ The sharing rule, precisely:
     `w_index` per graph, instead of calling `is_in_wp_ridge` at each p.
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
+  * Caches sit only on the shared enumeration primitives (the table
+    builders of `independence`); no verdict is cached.
 """
 
 from __future__ import annotations
@@ -75,14 +77,16 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
     set (index 0) can fill several slots; a nonempty set cannot repeat,
     since it meets `used`.  Found extensions are cached: a later tuple
     dominated slot by slot by a cached witness extends without a fresh
-    search.
+    search.  The superset table `sup` is filled in `ind` order up to the
+    first set that no maximum set contains, which alone is unextendable.
     """
     ind = independent_set_masks(g)
     mis = maximal_independent_set_masks(g)
     alpha = max(m.bit_count() for m in mis)
     omega = tuple(m for m in mis if m.bit_count() == alpha)
-    sup = {a: tuple(m for m in omega if m & a == a) for a in ind}
+    sup = {}
     for a in ind:
+        sup[a] = tuple(m for m in omega if m & a == a)
         if not sup[a]:
             # a alone cannot reach maximum size, so pad with empty slots
             return (a,) + (0,) * (p - 1)

@@ -1,6 +1,14 @@
 import pytest
 
 from wellcov import Graph, generate
+from wellcov.independence import TABLE_BUILDERS
+
+
+@pytest.fixture(autouse=True)
+def fresh_table_caches():
+    # no test reads a table that an earlier test left in a builder's cache
+    for builder in TABLE_BUILDERS:
+        builder.cache_clear()
 
 
 @pytest.fixture

@@ -146,6 +146,24 @@ class TestScan:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_catalog_order_below_one_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "scan", "--exhaustive", "0")
+        assert code == EXIT_USAGE
+        assert "at least 1 (got 0)" in err
+        assert "allow_large" not in err
+
+    def test_json_counts_table_cache(self, capsys):
+        # each graph's tables are built once, whatever asks for them
+        code, out, _ = run(capsys, "scan", "--exhaustive", "4", "--json")
+        assert code == EXIT_OK
+        body = json.loads(out)
+        assert body["graphs_checked"] == 64
+        assert set(body["table_cache"]) == {
+            "maximal_independent_set_masks", "independent_set_masks", "profile"}
+        for counts in body["table_cache"].values():
+            assert counts["misses"] == body["graphs_checked"]
+            assert counts["hits"] > 0
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "scan", "--input", "/nonexistent.g6")
         assert code == EXIT_USAGE

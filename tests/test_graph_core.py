@@ -20,6 +20,7 @@ from wellcov import (
     lexicographic_product,
     localization,
 )
+from wellcov.catalog import labeled_graphs
 
 
 class TestVertexSet:
@@ -189,3 +190,18 @@ class TestProducts:
         comps = connected_components(un)
         assert [c.to_tuple() for c in comps] == [(0, 1), (2, 3, 4)]
         assert len(connected_components(k3)) == 1
+
+
+class TestCatalogBounds:
+    @pytest.mark.parametrize("allow_large", [False, True])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_names_the_lower_bound(self, n, allow_large):
+        with pytest.raises(ValueError, match=rf"at least 1 \(got {n}\)") as info:
+            next(labeled_graphs(n, allow_large=allow_large))
+        assert "allow_large" not in str(info.value)
+
+    def test_order_above_cap_names_the_cap(self):
+        with pytest.raises(ValueError, match="capped at 6 vertices.*allow_large"):
+            next(labeled_graphs(7))
+        with pytest.raises(ValueError, match="capped at 7 vertices"):
+            next(labeled_graphs(8, allow_large=True))

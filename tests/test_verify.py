@@ -18,8 +18,10 @@ from wellcov import (
     is_in_wp_localization,
     run_suite,
     sweep_catalog,
+    theorem_reports,
 )
 from wellcov import independence
+from wellcov.catalog import labeled_graphs
 from wellcov.verify import catalog_suite
 
 
@@ -109,6 +111,45 @@ class TestSweep:
         # the edgeless graph lands in the trivial p = 1 cell
         assert sweep.find_hits[(4, 4, 1)] == ["C?"]
         assert (4, 1, 4) not in sweep.find_hits
+
+
+class TestTableCache:
+    def test_uncached_builders_give_the_same_sweep(self, monkeypatch):
+        p_values = (1, 2, 3)
+        graphs = [g for n in range(1, 6) for g in labeled_graphs(n)]
+        cached = sweep_catalog(5, p_values)
+        cached_reports = [theorem_reports(g, p_values) for g in graphs]
+
+        for builder in independence.TABLE_BUILDERS:
+            name = builder.__name__
+            holders = [mod for modname, mod in sys.modules.items()
+                       if modname.startswith("wellcov.")
+                       and getattr(mod, name, None) is builder]
+            assert holders
+            for mod in holders:
+                monkeypatch.setattr(mod, name, builder.__wrapped__)
+        before = [b.cache_info() for b in independence.TABLE_BUILDERS]
+        plain = sweep_catalog(5, p_values)
+        plain_reports = [theorem_reports(g, p_values) for g in graphs]
+        # the second run never went through a cache
+        assert [b.cache_info() for b in independence.TABLE_BUILDERS] == before
+
+        assert plain.graphs_checked == cached.graphs_checked == len(graphs)
+        assert plain.records == cached.records
+        assert plain.find_hits == cached.find_hits
+        assert plain_reports == cached_reports
+
+    def test_each_graph_builds_its_tables_once(self):
+        # a cache that stops working, or one widened to trade memory for
+        # time, fails here
+        before = [b.cache_info() for b in independence.TABLE_BUILDERS]
+        sweep = sweep_catalog(5)
+        assert sweep.graphs_checked == 1099
+        for builder, start in zip(independence.TABLE_BUILDERS, before):
+            info = builder.cache_info()
+            assert info.misses - start.misses == sweep.graphs_checked, builder.__name__
+            assert info.maxsize == 1
+            assert info.currsize <= 1
 
 
 class TestSuites:
