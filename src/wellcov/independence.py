@@ -15,6 +15,15 @@ fixed size are the cliques of that size in the complement.
 the clique side of `saturation` calls them directly on a graph's own
 rows.
 
+`independence_number` runs once per edge deletion and localization in
+the criticality and recursion routes, so it does not enumerate.  It
+branches on the closed neighbourhood N[v] of a least-degree vertex v
+(Tarjan and Trojanowski, 1977), which every maximal independent set
+meets, and takes v outright when its neighbourhood is a clique, since
+a maximum set then swaps its one vertex of N[v] for v.  Unions of
+cliques and their blow-ups, the sharp families of the theorem, then
+resolve with little or no branching.
+
 The builders in `TABLE_BUILDERS` cache one entry each, the table of the
 last graph asked.  Tables are immutable and depend only on `(n, adj)`.
 The routes checking one graph ask back to back and the next graph
@@ -128,20 +137,59 @@ def independent_masks_of_size(g: Graph, k: int) -> tuple[int, ...]:
 
 
 def independence_number(g: Graph) -> int:
-    """Size of a maximum independent set, by branch and bound."""
+    """Size of a maximum independent set, by branch and bound.
+
+    Each step looks at a vertex v of least degree among the allowed
+    vertices.  When v's allowed neighbourhood is a clique, v is taken
+    without branching: a maximum set meets N[v] in exactly one vertex u,
+    and swapping u for v keeps it independent and maximum.  Otherwise
+    the search branches on taking each u in N[v], since every maximal
+    independent set meets N[v]; a later branch drops the earlier picks,
+    so no set is searched twice.  Depth is at most alpha + 1.
+    """
     rows = g.adj
     best = 0
 
     def grow(allowed: int, size: int) -> None:
         nonlocal best
-        if size + allowed.bit_count() <= best:
+        while True:
+            count = allowed.bit_count()
+            if size + count <= best:
+                return
+            if count == 0:
+                best = size
+                return
+            # v: a least-degree vertex within allowed; degree <= 1 is least
+            v_degree = count
+            bits = allowed
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                u = low.bit_length() - 1
+                d = (rows[u] & allowed).bit_count()
+                if d < v_degree:
+                    v_degree, v = d, u
+                    if d <= 1:
+                        break
+            nbrs = rows[v] & allowed
+            bits = nbrs
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                if nbrs & ~rows[low.bit_length() - 1] & ~low:
+                    break
+            else:
+                # simplicial: take v outright
+                allowed &= ~nbrs & ~(1 << v)
+                size += 1
+                continue
+            branch = nbrs | 1 << v
+            while branch:
+                low = branch & -branch
+                branch ^= low
+                grow(allowed & ~rows[low.bit_length() - 1] & ~low, size + 1)
+                allowed ^= low
             return
-        if allowed == 0:
-            best = size
-            return
-        low = allowed & -allowed
-        grow(allowed & ~rows[low.bit_length() - 1] & ~low, size + 1)
-        grow(allowed ^ low, size)
     grow((1 << g.n) - 1, 0)
     return best
 

@@ -89,10 +89,25 @@ def min_clique_codegree(h: Graph, r: int) -> int:
     """Minimum codegree over all (r-1)-cliques; n when r = 1."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    cliques = clique_masks_of_size(h.adj, h.n, r - 1)
+    rows = h.adj
+    full = (1 << h.n) - 1
+    cliques = clique_masks_of_size(rows, h.n, r - 1)
     if not cliques:
         raise ValueError(f"no cliques of size {r - 1}")
-    return min(clique_codegree(h, VertexSet(h.n, m)) for m in cliques)
+    best = h.n
+    for m in cliques:
+        common = full
+        bits = m
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            common &= rows[low.bit_length() - 1]
+        # h has no loops, so no member is in its own row and the common
+        # neighbourhood of a clique already excludes the clique
+        codegree = common.bit_count()
+        if codegree < best:
+            best = codegree
+    return best
 
 
 def alpha2_check(h: Graph, p: int) -> bool:

@@ -346,7 +346,7 @@ def _petersen_complement_checks() -> list[tuple[str, bool]]:
 
 def _c7_blowup_checks() -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
-    for q in (1, 2, 3, 4):
+    for q in range(1, 9):
         fam = generate(f"c7_blowup:q={q}")
         g = fam.graph
         tag = f"q{q}"
@@ -396,7 +396,7 @@ def codec_suite() -> SuiteResult:
         "petersen", "petersen_complement", "cycle:n=7", "path:n=1",
         "complete:n=28", "complete_multipartite:parts=3,3",
         "disjoint_cliques:r=3,p=2",
-        "c7_blowup:q=1", "c7_blowup:q=2", "c7_blowup:q=3", "c7_blowup:q=4",
+        *(f"c7_blowup:q={q}" for q in range(1, 9)),
     ]
     for spec in specs:
         g = generate(spec).graph

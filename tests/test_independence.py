@@ -1,8 +1,14 @@
 """Independence primitives against the naive subset-enumeration oracle.
 
 The catalog cross-checks run the full labeled catalog at n <= 5; the
-deeper n = 6 sweep lives in the acceptance suite.
+deeper n = 6 sweep lives in the acceptance suite.  The alpha kernel is
+also checked against the maximal-set engine on the n <= 6 catalog, the
+named families with their edge deletions and localizations, and seeded
+random graphs, and its search is held to a call budget.
 """
+
+import random
+import sys
 
 import pytest
 
@@ -10,13 +16,18 @@ from wellcov import (
     Graph,
     VertexSet,
     closed_neighborhood,
+    complement,
+    delete_edge,
     fiber,
+    generate,
     independence_number,
     is_well_covered,
     maximal_independent_sets,
     profile,
 )
+from wellcov import independence
 from wellcov.catalog import labeled_graphs
+from wellcov.graphs import localization
 from wellcov.independence import (
     independent_masks_of_size,
     independent_set_masks,
@@ -78,6 +89,89 @@ class TestAgainstNaive:
                     sum(1 << v for v in vs)
                     for vs in _naive.independent_sets(g) if len(vs) == k)
                 assert list(got) == want
+
+
+def alpha_by_facets(g: Graph) -> int:
+    """Alpha read off the uncached maximal-set engine, a separate route."""
+    return max(m.bit_count() for m in maximal_independent_set_masks.__wrapped__(g))
+
+
+def with_neighbours(g: Graph):
+    """g, every single-edge deletion and every vertex localization."""
+    yield g
+    for e in g.edges():
+        yield delete_edge(g, e)
+    for v in range(g.n):
+        sub = localization(g, VertexSet.of(g.n, [v]))
+        if sub is not None:
+            yield sub.graph
+
+
+def random_graph(rng: random.Random, n: int) -> Graph:
+    density = rng.random()
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < density])
+
+
+STRUCTURED_SPECS = (
+    [f"disjoint_cliques:r={r},p={p}" for r in range(1, 7) for p in (1, 2, 3)]
+    + [f"c7_blowup:q={q}" for q in (1, 2, 3, 4)]
+    + ["petersen", "petersen_complement"])
+
+
+class TestAlphaKernel:
+    def test_catalog_matches_facets(self):
+        for g in small_catalog(6):
+            assert independence_number(g) == alpha_by_facets(g)
+
+    @pytest.mark.parametrize("spec", STRUCTURED_SPECS)
+    def test_families_match_facets(self, spec):
+        for h in with_neighbours(generate(spec).graph):
+            assert independence_number(h) == alpha_by_facets(h)
+
+    def test_random_graphs_match_facets(self):
+        rng = random.Random(20260518)
+        for _ in range(500):
+            g = random_graph(rng, rng.randint(1, 16))
+            assert independence_number(g) == alpha_by_facets(g)
+
+
+def grow_calls(g: Graph) -> int:
+    """Frames of the kernel's inner search entered by one alpha call."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if (event == "call" and frame.f_code.co_name == "grow"
+                and frame.f_code.co_filename == independence.__file__):
+            calls += 1
+    sys.setprofile(count)
+    try:
+        independence_number(g)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestAlphaWork:
+    """Call budgets for the closed-neighbourhood search on the paper's
+    sharp families, where a bound by size + remaining vertices alone
+    explores tens of thousands of branches."""
+
+    def test_disjoint_cliques_take_one_call(self):
+        g = generate("disjoint_cliques:r=8,p=3").graph
+        for h in [g] + [delete_edge(g, e) for e in g.edges()]:
+            assert grow_calls(h) <= h.n
+
+    def test_c7_blowup(self):
+        g = generate("c7_blowup:q=4").graph
+        for h in [g] + [delete_edge(g, e) for e in g.edges()]:
+            assert grow_calls(h) <= 64
+
+    def test_c7_blowup_complement(self):
+        # later branches must drop the earlier picks: keeping them is
+        # still exact but searches about three times as far
+        assert grow_calls(complement(generate("c7_blowup:q=8").graph)) <= 200
 
 
 class TestOrdering:

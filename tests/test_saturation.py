@@ -28,6 +28,7 @@ from wellcov import (
     min_clique_codegree,
 )
 from wellcov.catalog import labeled_graphs
+from wellcov.independence import clique_masks_of_size
 from tests import _naive
 
 
@@ -90,6 +91,20 @@ class TestCodegree:
         e3 = Graph.from_edges(3, [])
         with pytest.raises(ValueError):
             min_clique_codegree(e3, 3)
+
+    def test_clique_union_complement(self):
+        # each 7-clique of the complement of 8K3 picks one vertex from 7
+        # of the 8 triangles and extends by any vertex of the eighth
+        h = complement(generate("disjoint_cliques:r=8,p=3").graph)
+        assert min_clique_codegree(h, 8) == 3
+
+    def test_min_matches_validating_codegree_on_catalog(self):
+        for g in small_catalog(6):
+            h = complement(g)
+            for r in range(1, independence_number(g) + 1):
+                want = min(clique_codegree(h, VertexSet(h.n, m))
+                           for m in clique_masks_of_size(h.adj, h.n, r - 1))
+                assert min_clique_codegree(h, r) == want
 
 
 class TestSpecializations:
