@@ -25,9 +25,11 @@ cliques and their blow-ups, the sharp families of the theorem, then
 resolve with little or no branching.
 
 The builders in `TABLE_BUILDERS` cache one entry each, the table of the
-last graph asked.  Tables are immutable and depend only on `(n, adj)`.
-The routes checking one graph ask back to back and the next graph
-evicts the entry, so one entry per builder covers a graph's job.
+last graph asked.  Tables are immutable and depend only on `(n, adj)`,
+plus the size for `clique_masks_of_size`, whose one size per graph job
+is alpha - 1 on the complement's rows.  The routes checking one graph
+ask back to back and the next graph evicts the entry, so one entry per
+builder covers a graph's job.
 """
 
 from __future__ import annotations
@@ -74,9 +76,14 @@ def maximal_clique_masks(rows: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def clique_masks_of_size(rows: Sequence[int], n: int, k: int) -> tuple[int, ...]:
+@lru_cache(maxsize=1)
+def clique_masks_of_size(rows: tuple[int, ...], n: int, k: int) -> tuple[int, ...]:
     """All cliques of size exactly k of the graph given by bitmask rows,
-    as masks, ascending."""
+    as masks, ascending.
+
+    Cached on its arguments, so the rows must be a tuple: `profile`
+    asks for g's independent sets of size alpha - 1, and the codegree
+    condition for the same (alpha - 1)-cliques of g's complement."""
     if k == 0:
         return (0,)
     out: list[int] = []
@@ -132,7 +139,7 @@ def independent_set_masks(g: Graph) -> tuple[int, ...]:
 def independent_masks_of_size(g: Graph, k: int) -> tuple[int, ...]:
     """Independent sets of size exactly k as bitmasks, ascending."""
     full = (1 << g.n) - 1
-    comp_rows = [row ^ full ^ (1 << v) for v, row in enumerate(g.adj)]
+    comp_rows = tuple(row ^ full ^ (1 << v) for v, row in enumerate(g.adj))
     return clique_masks_of_size(comp_rows, g.n, k)
 
 
@@ -246,7 +253,8 @@ def profile(g: Graph) -> IndependenceProfile:
     )
 
 
-TABLE_BUILDERS = (maximal_independent_set_masks, independent_set_masks, profile)
+TABLE_BUILDERS = (
+    maximal_independent_set_masks, independent_set_masks, clique_masks_of_size, profile)
 
 
 def fiber(g: Graph, s: VertexSet) -> VertexSet:

@@ -75,10 +75,17 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
     positions in `ind`, empty sets included.  Each slot starts at the
     previous slot's index rather than the one after it, so the empty
     set (index 0) can fill several slots; a nonempty set cannot repeat,
-    since it meets `used`.  Found extensions are cached: a later tuple
-    dominated slot by slot by a cached witness extends without a fresh
-    search.  The superset table `sup` is filled in `ind` order up to the
-    first set that no maximum set contains, which alone is unextendable.
+    since it meets `used`.
+
+    Found extensions are cached by family prefix: `lives[k]` holds the
+    found extensions that dominate `family[:k]` slot by slot.  Filling
+    slot k with a set a keeps those of the parent's list whose slot k
+    contains a, so a leaf whose list is nonempty is dominated and
+    extends without a fresh search.  A fresh extension dominates every
+    prefix of the family it was found for, so it joins the list of every
+    depth of the current path.  The superset table `sup` is filled in
+    `ind` order up to the first set that no maximum set contains, which
+    alone is unextendable.
     """
     ind = independent_set_masks(g)
     mis = maximal_independent_set_masks(g)
@@ -91,7 +98,7 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
             # a alone cannot reach maximum size, so pad with empty slots
             return (a,) + (0,) * (p - 1)
 
-    witnesses: list[tuple[int, ...]] = []
+    lives: list[list[tuple[int, ...]]] = [[] for _ in range(p + 1)]
     family = [0] * p
 
     def extend_family() -> tuple[int, ...] | None:
@@ -112,19 +119,20 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
 
     def search(slot: int, start: int, used: int) -> tuple[int, ...] | None:
         if slot == p:
-            snapshot = tuple(family)
-            for w in witnesses:
-                if all(a & m == a for a, m in zip(snapshot, w)):
-                    return None
+            if lives[p]:
+                return None
             found = extend_family()
             if found is None:
-                return snapshot
-            witnesses.append(found)
+                return tuple(family)
+            for live in lives:
+                live.append(found)
             return None
+        live = lives[slot]
         for i in range(start, len(ind)):
             a = ind[i]
             if a & used == 0:
                 family[slot] = a
+                lives[slot + 1] = [w for w in live if w[slot] & a == a]
                 bad = search(slot + 1, i, used | a)
                 if bad is not None:
                     return bad

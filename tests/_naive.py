@@ -6,7 +6,7 @@ bug would have to appear in both routes to slip through a cross-check.
 Usable up to a dozen vertices or so.
 """
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from wellcov import Graph
 
@@ -88,3 +88,22 @@ def is_in_wp(g: Graph, p: int) -> bool:
         extends(family, maximum)
         for family in product(independent_sets(g), repeat=p)
         if pairwise_disjoint(family))
+
+
+def first_unextendable(g: Graph, p: int):
+    """The family the oracle must return, found by brute force: with at
+    least p vertices, the first independent set in mask order that lies
+    in no maximum independent set, padded with p - 1 empty sets;
+    otherwise the first pairwise disjoint family, in
+    combinations_with_replacement order over the mask-sorted independent
+    sets, that does not extend.  None when every family extends."""
+    maximum = maximum_independent_sets(g)
+    ind = sorted(independent_sets(g), key=lambda vs: sum(1 << v for v in vs))
+    if g.n >= p:
+        for vs in ind:
+            if not any(set(vs) <= t for t in maximum):
+                return (vs,) + ((),) * (p - 1)
+    for family in combinations_with_replacement(ind, p):
+        if pairwise_disjoint(family) and not extends(family, maximum):
+            return family
+    return None

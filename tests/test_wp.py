@@ -2,9 +2,11 @@
 
 The three deciders are cross-checked on the full n <= 5 catalog here at
 every level up to n + 1, and the oracle against a naive ordered-tuple
-reference at p <= 3; the complete n = 6 run belongs to the acceptance
-suite.
+reference at p <= 3, which also pins the exact family the oracle
+returns; the complete n = 6 run belongs to the acceptance suite.
 """
+
+import sys
 
 import pytest
 
@@ -30,6 +32,7 @@ from wellcov import (
     w_index,
     wp_oracle_counterexample,
 )
+from wellcov import wp
 from wellcov.bitset import VertexSet
 from wellcov.catalog import labeled_graphs
 
@@ -56,6 +59,15 @@ class TestDeciders:
         for g in small_catalog(5):
             for p in (1, 2, 3):
                 assert is_in_wp_oracle(g, p) == _naive.is_in_wp(g, p)
+
+    def test_oracle_returns_the_first_unextendable_family_n5(self):
+        # the same family, not only some unextendable one
+        for g in small_catalog(5):
+            for p in (1, 2, 3):
+                witness = wp_oracle_counterexample(g, p)
+                family = None if witness is None else tuple(
+                    part.to_tuple() for part in witness)
+                assert family == _naive.first_unextendable(g, p)
 
     def test_membership_is_downward_monotone(self):
         for g in small_catalog(5):
@@ -106,6 +118,44 @@ class TestDeciders:
                 checked += 1
         # every non-member of the n <= 5 catalog at p <= 3
         assert checked == 2878
+
+
+def oracle_frames(g: Graph, p: int) -> int:
+    """Python frames opened in the oracle's module by one family search."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == wp.__file__:
+            calls += 1
+    sys.setprofile(count)
+    try:
+        wp._unextendable_family(g, p)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestOracleWork:
+    """Work budgets for the oracle's family search on members, where
+    every family is visited; scanning every found extension at each
+    leaf opens 560,708 frames on 2K4 and 257,355 on the Petersen
+    complement."""
+
+    def test_two_disjoint_k4(self):
+        assert oracle_frames(generate("disjoint_cliques:r=2,p=4").graph, 4) <= 20_000
+
+    def test_petersen_complement(self, petersen_complement):
+        assert oracle_frames(petersen_complement, 3) <= 10_000
+
+    def test_disjoint_cliques_reach_their_index(self):
+        for r in range(1, 11):
+            for p in range(1, 10 // r + 1):
+                g = generate(f"disjoint_cliques:r={r},p={p}").graph
+                w = w_index(g)
+                assert w == p
+                assert is_in_wp_oracle(g, w)
+                assert not is_in_wp_oracle(g, w + 1)
 
 
 class TestWIndex:
