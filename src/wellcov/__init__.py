@@ -5,7 +5,6 @@ mirror of all three on the complement."""
 from .bitset import VertexSet
 from .graphs import (
     Blowup,
-    Edge,
     EmptySubgraphError,
     Graph,
     Subgraph,

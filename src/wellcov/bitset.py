@@ -1,9 +1,9 @@
 """Fixed-universe vertex sets stored as integer bitmasks.
 
-A VertexSet is an immutable subset of {0, ..., universe - 1}.  All set
-algebra stays inside one universe; mixing universes is an error.  The
-`bits` field is a plain int, so hot loops can work on raw masks and wrap
-results back into VertexSet at API boundaries.
+A VertexSet is an immutable subset of {0, ..., universe - 1}.  The
+`bits` field is a plain int, so set algebra works on raw masks and wraps
+results back into VertexSet at API boundaries; the graph functions that
+take a VertexSet check its universe against the graph.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class VertexSet:
             bits |= 1 << v
         return cls(universe, bits)
 
-    def _same_universe(self, other: VertexSet) -> None:
-        if self.universe != other.universe:
-            raise ValueError("universe mismatch")
-
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.universe and (self.bits >> v) & 1 == 1
 
@@ -63,42 +59,8 @@ class VertexSet:
     def __bool__(self) -> bool:
         return self.bits != 0
 
-    def union(self, other: VertexSet) -> VertexSet:
-        self._same_universe(other)
-        return VertexSet(self.universe, self.bits | other.bits)
-
-    def intersection(self, other: VertexSet) -> VertexSet:
-        self._same_universe(other)
-        return VertexSet(self.universe, self.bits & other.bits)
-
-    def difference(self, other: VertexSet) -> VertexSet:
-        self._same_universe(other)
-        return VertexSet(self.universe, self.bits & ~other.bits)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
     def complement(self) -> VertexSet:
         return VertexSet(self.universe, self.bits ^ (1 << self.universe) - 1)
-
-    def isdisjoint(self, other: VertexSet) -> bool:
-        self._same_universe(other)
-        return self.bits & other.bits == 0
-
-    def issubset(self, other: VertexSet) -> bool:
-        self._same_universe(other)
-        return self.bits & ~other.bits == 0
-
-    def with_vertex(self, v: int) -> VertexSet:
-        if not 0 <= v < self.universe:
-            raise ValueError(f"vertex {v} outside universe 0..{self.universe - 1}")
-        return VertexSet(self.universe, self.bits | 1 << v)
-
-    def without_vertex(self, v: int) -> VertexSet:
-        if not 0 <= v < self.universe:
-            raise ValueError(f"vertex {v} outside universe 0..{self.universe - 1}")
-        return VertexSet(self.universe, self.bits & ~(1 << v))
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple(self)

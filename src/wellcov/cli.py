@@ -16,7 +16,7 @@ import sys
 import time
 from typing import Callable, TextIO
 
-from .catalog import HARD_MAX_N, catalog_size, labeled_graphs
+from .catalog import DEFAULT_MAX_N, HARD_MAX_N, catalog_size, labeled_graphs
 from .families import FAMILY_NAMES, generate
 from .graph6 import Graph6Error, decode, encode, iter_stream
 from .graphs import Graph, complement
@@ -85,10 +85,6 @@ def _resolve_input(text: str) -> tuple[Graph, str]:
     except Graph6Error as exc:
         raise ValueError(
             f"input is neither a known family spec nor graph6: {exc}") from None
-
-
-def _edge_pairs(edges) -> list[list[int]]:
-    return [[e.u, e.v] for e in edges]
 
 
 def _analysis_report(
@@ -174,7 +170,7 @@ def _analysis_report(
             "by_edge_deletion": direct,
             "by_fiber_cover": by_fibers,
             "agree": direct == by_fibers,
-            "uncovered_edge": None if uncovered is None else [uncovered.u, uncovered.v],
+            "uncovered_edge": None if uncovered is None else list(uncovered),
         },
         "membership": membership,
         "complement": complement_summary,
@@ -192,8 +188,8 @@ def _analysis_report(
             scans.append({
                 "p": p,
                 "edges_scanned": len(entries),
-                "empty_localizations": _edge_pairs(e.edge for e in empty),
-                "not_in_lower_class": _edge_pairs(e.edge for e in failing),
+                "empty_localizations": [list(e.edge) for e in empty],
+                "not_in_lower_class": [list(e.edge) for e in failing],
                 "all_pass": not failing and not empty,
             })
         report["edge_localization"] = scans
@@ -414,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="cross-validate a graph6 stream or the catalog")
     scan.add_argument("--input", default=None, help="graph6 file; stdin when omitted")
     scan.add_argument("--exhaustive", type=int, default=None, metavar="N",
-                      help=f"scan all labeled graphs on N vertices (N <= {HARD_MAX_N})")
+                      help=f"scan all labeled graphs on N vertices "
+                           f"(N <= {DEFAULT_MAX_N}, or {HARD_MAX_N} with --allow-large)")
     scan.add_argument("--mode", choices=("equivalence", "corollaries", "find"),
                       default="equivalence")
     scan.add_argument("--p", default="1,2,3", help="comma list of membership levels")

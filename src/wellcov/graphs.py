@@ -22,25 +22,6 @@ class EmptySubgraphError(ValueError):
     """An induced subgraph was asked to keep no vertices."""
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Edge:
-    """An undirected edge; endpoints are normalized so u < v."""
-
-    u: int
-    v: int
-
-    def __post_init__(self) -> None:
-        if self.u == self.v:
-            raise ValueError("loops are not allowed")
-        if self.u > self.v:
-            u, v = self.v, self.u
-            object.__setattr__(self, "u", u)
-            object.__setattr__(self, "v", v)
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
-
 @dataclass(frozen=True, slots=True)
 class Graph:
     n: int
@@ -69,10 +50,9 @@ class Graph:
                     raise ValueError(f"adjacency is not symmetric at ({v}, {u})")
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int] | Edge]) -> Graph:
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows = [0] * n
-        for e in edges:
-            u, v = e.endpoints() if isinstance(e, Edge) else e
+        for u, v in edges:
             if u == v:
                 raise ValueError("loops are not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -81,16 +61,13 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, tuple(rows))
 
-    def vertices(self) -> VertexSet:
-        return VertexSet.full(self.n)
-
-    def edges(self) -> Iterator[Edge]:
-        """Edges with u < v, ordered colexicographically by (v, u)."""
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Edges as pairs (u, v), u < v, ordered colexicographically by (v, u)."""
         for v in range(self.n):
             bits = self.adj[v] & (1 << v) - 1
             while bits:
                 low = bits & -bits
-                yield Edge(low.bit_length() - 1, v)
+                yield (low.bit_length() - 1, v)
                 bits ^= low
 
     @property
@@ -127,17 +104,14 @@ class Subgraph:
     graph: Graph
     kept: tuple[int, ...]
 
-    def old_to_new(self) -> dict[int, int]:
-        return {old: new for new, old in enumerate(self.kept)}
-
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple(row ^ full ^ 1 << v for v, row in enumerate(g.adj)))
 
 
-def delete_edge(g: Graph, e: Edge | tuple[int, int]) -> Graph:
-    u, v = e.endpoints() if isinstance(e, Edge) else e
+def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     rows = list(g.adj)
@@ -182,13 +156,13 @@ def localization(g: Graph, s: VertexSet) -> Subgraph | None:
     return induced_subgraph(g, keep)
 
 
-def edge_localization(g: Graph, e: Edge | tuple[int, int]) -> Subgraph | None:
+def edge_localization(g: Graph, e: tuple[int, int]) -> Subgraph | None:
     """Delete N(u) | N(v) for an edge uv; None when nothing remains.
 
     The endpoints are adjacent, so both fall inside the deleted set and
     this agrees with localizing at the vertex pair.
     """
-    u, v = e.endpoints() if isinstance(e, Edge) else e
+    u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
     keep = ((1 << g.n) - 1) & ~(g.adj[u] | g.adj[v])

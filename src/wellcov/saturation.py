@@ -128,7 +128,7 @@ def alpha3_check(h: Graph, p: int) -> bool:
     uniform, size = maximal_clique_sizes_uniform(h)
     if not (uniform and size == 3):
         return False
-    return all((h.adj[e.u] & h.adj[e.v]).bit_count() >= p for e in h.edges())
+    return all((h.adj[u] & h.adj[v]).bit_count() >= p for u, v in h.edges())
 
 
 def clique_union_shape(g: Graph) -> tuple[int, ...] | None:

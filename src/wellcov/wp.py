@@ -26,7 +26,9 @@ The sharing rule, precisely:
     (a) of the theorem report starts with the oracle, so the report
     keeps that verdict as `TheoremReport.oracle`, and the catalog
     checks read the oracle decider from it instead of running the
-    oracle a second time.
+    oracle a second time.  The criticality half of condition (a) does
+    not depend on p, so the report runs it once per graph and every p
+    reads that one edge.
   * Every route but the literal oracle computes its largest p once per
     graph, and its answer at each p is a threshold on that number: the
     ridge decider's `w_index`, the localization recursion's smallest
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .bitset import VertexSet
-from .graphs import Edge, Graph, complement, delete_edge, edge_localization, induced_subgraph
+from .graphs import Graph, complement, delete_edge, edge_localization, induced_subgraph
 from .independence import (
     IndependenceProfile,
     independence_number,
@@ -232,10 +234,9 @@ def w_index(g: Graph) -> int | None:
     return prof.min_fiber_size
 
 
-def is_edge_alpha_critical(g: Graph, e: Edge | tuple[int, int]) -> bool:
+def is_edge_alpha_critical(g: Graph, e: tuple[int, int]) -> bool:
     """Does deleting this edge raise the independence number?"""
-    u, v = e.endpoints() if isinstance(e, Edge) else e
-    return independence_number(delete_edge(g, (u, v))) > independence_number(g)
+    return independence_number(delete_edge(g, e)) > independence_number(g)
 
 
 def is_alpha_critical_direct(g: Graph) -> bool:
@@ -248,7 +249,7 @@ def is_alpha_critical_direct(g: Graph) -> bool:
     return non_critical_edge(g) is None
 
 
-def non_critical_edge(g: Graph) -> Edge | None:
+def non_critical_edge(g: Graph) -> tuple[int, int] | None:
     """First edge whose deletion keeps the independence number."""
     alpha = independence_number(g)
     for e in g.edges():
@@ -257,14 +258,14 @@ def non_critical_edge(g: Graph) -> Edge | None:
     return None
 
 
-def is_alpha_critical_fibers(g: Graph) -> tuple[bool, Edge | None]:
+def is_alpha_critical_fibers(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     """Criticality via the fiber cover: every edge must lie inside some
     ridge's fiber.  Returns the first uncovered edge as witness."""
     fibers = profile(g).fibers
-    for e in g.edges():
-        pair = 1 << e.u | 1 << e.v
+    for u, v in g.edges():
+        pair = 1 << u | 1 << v
         if not any(pair & f == pair for f in fibers):
-            return (False, e)
+            return (False, (u, v))
     return (True, None)
 
 
@@ -306,15 +307,16 @@ class TheoremReport:
         return self.cond_a and self.cond_b and self.cond_c and self.cond_d
 
 
-def _cond_a(g: Graph, bad: tuple[VertexSet, ...] | None) -> tuple[bool, dict | None]:
+def _cond_a(
+    bad: tuple[VertexSet, ...] | None, loose: tuple[int, int] | None
+) -> tuple[bool, dict | None]:
     if bad is not None:
         return False, {
             "kind": "unextendable_family",
             "sets": [s.to_tuple() for s in bad],
         }
-    loose = non_critical_edge(g)
     if loose is not None:
-        return False, {"kind": "non_critical_edge", "edge": loose.endpoints()}
+        return False, {"kind": "non_critical_edge", "edge": loose}
     return True, None
 
 
@@ -322,10 +324,10 @@ def _cond_b(g: Graph, prof: IndependenceProfile) -> tuple[int, dict]:
     if not prof.is_pure:
         small = min(prof.facets, key=int.bit_count)
         return 0, {"kind": "impure_complex", "facet": VertexSet(g.n, small).to_tuple()}
-    for e in g.edges():
-        pair = 1 << e.u | 1 << e.v
+    for u, v in g.edges():
+        pair = 1 << u | 1 << v
         if not any(pair & f == pair for f in prof.fibers):
-            return 0, {"kind": "missing_edge_outside_links", "edge": e.endpoints()}
+            return 0, {"kind": "missing_edge_outside_links", "edge": (u, v)}
     # the ridge's link has exactly the fiber as vertex set
     degree = prof.min_fiber_size
     thin = next(s for s, f in zip(prof.ridges, prof.fibers) if f.bit_count() == degree)
@@ -350,9 +352,9 @@ def _cond_c(g: Graph) -> tuple[int, dict]:
         for i, x in enumerate(members):
             for y in members[i + 1:]:
                 covered |= 1 << (x * g.n + y)
-    for e in g.edges():
-        if not covered >> (e.u * g.n + e.v) & 1:
-            return 0, {"kind": "uncovered_edge", "edge": e.endpoints()}
+    for u, v in g.edges():
+        if not covered >> (u * g.n + v) & 1:
+            return 0, {"kind": "uncovered_edge", "edge": (u, v)}
     thin = min(fibers, key=lambda s: len(fibers[s]))
     ridge, fiber = VertexSet(g.n, thin).to_tuple(), fibers[thin]
     return len(fiber), {"kind": "thin_fiber", "ridge": ridge, "fiber": fiber}
@@ -377,14 +379,16 @@ def theorem_reports(
     g: Graph, p_values: Iterable[int], *, allow_large: bool = False
 ) -> dict[int, TheoremReport]:
     """The theorem report at each p: the levels of conditions (b)-(d)
-    are computed once, the oracle and condition (a) once per p."""
+    are computed once, the oracle once per p, and the criticality half
+    of condition (a) once, when some p passes the oracle."""
     # the oracle runs first, so its argument and size checks fail fast
     bad = {p: wp_oracle_counterexample(g, p, allow_large=allow_large) for p in p_values}
+    loose = non_critical_edge(g) if None in bad.values() else None
     r = independence_number(g)
     levels = {"cond_b": _cond_b(g, profile(g)), "cond_c": _cond_c(g), "cond_d": _cond_d(g, r)}
     reports = {}
     for p, family in bad.items():
-        a, wa = _cond_a(g, family)
+        a, wa = _cond_a(family, loose)
         witnesses = {} if wa is None else {"cond_a": wa}
         witnesses.update((name, w) for name, (level, w) in levels.items() if level < p)
         flags = {name: level >= p for name, (level, _) in levels.items()}
@@ -402,7 +406,7 @@ class EdgeLocalizationEntry:
     """Verdict for one edge: the localization's size and class, or the
     explicit empty-localization signal."""
 
-    edge: Edge
+    edge: tuple[int, int]
     empty: bool
     vertex_count: int
     in_lower_class: bool | None
@@ -449,7 +453,7 @@ def gorenstein_combinatorial_check(g: Graph, memo: dict | None = None) -> Gorens
     conditions.  Applies only to graphs without isolated vertices."""
     if any(row == 0 for row in g.adj):
         return GorensteinReport(False, None, None, None)
-    triangle_free = all(g.adj[e.u] & g.adj[e.v] == 0 for e in g.edges())
+    triangle_free = all(g.adj[u] & g.adj[v] == 0 for u, v in g.edges())
     b = triangle_free and is_in_wp_localization(g, 2, memo)
     c = triangle_free and is_in_wp_ridge(g, 2)
     h = complement(g)

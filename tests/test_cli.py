@@ -54,6 +54,17 @@ class TestAnalyze:
         assert len(scan["not_in_lower_class"]) == 28
         assert scan["all_pass"] is False
 
+    def test_path_edge_scan_golden(self, capsys):
+        code, out, _ = run(capsys, "analyze", "path:n=4", "--p", "2", "--edge-scan")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["alpha_critical"]["uncovered_edge"] == [1, 2]
+        scan = report["edge_localization"][0]
+        assert scan["edges_scanned"] == 3
+        assert scan["empty_localizations"] == [[1, 2]]
+        assert scan["not_in_lower_class"] == []
+        assert scan["all_pass"] is False
+
     def test_oracle_skipped_past_guard(self, capsys):
         _, out, _ = run(capsys, "analyze", "c7_blowup:q=2")
         report = json.loads(out)
@@ -145,6 +156,11 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--exhaustive", "8")
         assert code == EXIT_USAGE
         assert "error" in err
+
+    def test_catalog_order_seven_needs_allow_large(self, capsys):
+        code, _, err = run(capsys, "scan", "--exhaustive", "7")
+        assert code == EXIT_USAGE
+        assert "capped at 6 vertices" in err
 
     def test_catalog_order_below_one_is_usage_error(self, capsys):
         code, _, err = run(capsys, "scan", "--exhaustive", "0")

@@ -51,11 +51,11 @@ class TestParse:
 class TestFrozenLabelings:
     def test_cycle(self):
         g = generate("cycle:n=4").graph
-        assert {e.endpoints() for e in g.edges()} == {(0, 1), (1, 2), (2, 3), (0, 3)}
+        assert set(g.edges()) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_path(self):
         g = generate("path:n=3").graph
-        assert {e.endpoints() for e in g.edges()} == {(0, 1), (1, 2)}
+        assert set(g.edges()) == {(0, 1), (1, 2)}
         assert generate("path:n=1").graph.n == 1
 
     def test_complete(self):
@@ -65,7 +65,7 @@ class TestFrozenLabelings:
     def test_complete_multipartite(self):
         fam = generate("complete_multipartite:parts=2,2")
         assert [c.to_tuple() for c in fam.classes] == [(0, 1), (2, 3)]
-        assert {e.endpoints() for e in fam.graph.edges()} == {
+        assert set(fam.graph.edges()) == {
             (0, 2), (0, 3), (1, 2), (1, 3)}
 
     def test_petersen(self):
@@ -73,12 +73,12 @@ class TestFrozenLabelings:
         outer = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
         spokes = {(0, 5), (1, 6), (2, 7), (3, 8), (4, 9)}
         inner = {(5, 7), (7, 9), (6, 9), (6, 8), (5, 8)}
-        assert {e.endpoints() for e in g.edges()} == outer | spokes | inner
+        assert set(g.edges()) == outer | spokes | inner
 
     def test_disjoint_cliques(self):
         fam = generate("disjoint_cliques:r=2,p=3")
         assert [c.to_tuple() for c in fam.classes] == [(0, 1, 2), (3, 4, 5)]
-        assert {e.endpoints() for e in fam.graph.edges()} == {
+        assert set(fam.graph.edges()) == {
             (0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
 
 
@@ -90,7 +90,7 @@ class TestInvariants:
         # nonadjacent vertices share exactly one neighbor, adjacent none
         for u in range(10):
             for v in range(u + 1, 10):
-                common = len(g.neighborhood(u) & g.neighborhood(v))
+                common = (g.adj[u] & g.adj[v]).bit_count()
                 assert common == (0 if g.has_edge(u, v) else 1)
 
     def test_petersen_complement_matches(self):

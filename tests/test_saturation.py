@@ -42,7 +42,7 @@ def naive_saturated(g: Graph, t: int) -> bool:
         return False
     pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
              if not g.has_edge(u, v)]
-    edges = [e.endpoints() for e in g.edges()]
+    edges = list(g.edges())
     return all(
         _naive.has_clique(Graph.from_edges(g.n, edges + [(u, v)]), t)
         for u, v in pairs)

@@ -11,7 +11,6 @@ import sys
 import pytest
 
 from wellcov import (
-    Edge,
     Graph,
     OracleSizeError,
     complement,
@@ -197,13 +196,13 @@ class TestCriticality:
 
     def test_path_not_critical(self, p4):
         assert not is_alpha_critical_direct(p4)
-        assert non_critical_edge(p4) == Edge(1, 2)
+        assert non_critical_edge(p4) == (1, 2)
         ok, uncovered = is_alpha_critical_fibers(p4)
-        assert not ok and uncovered == Edge(1, 2)
+        assert not ok and uncovered == (1, 2)
 
     def test_single_edge_predicate(self, p4):
-        assert is_edge_alpha_critical(p4, Edge(0, 1))
-        assert not is_edge_alpha_critical(p4, Edge(1, 2))
+        assert is_edge_alpha_critical(p4, (0, 1))
+        assert not is_edge_alpha_critical(p4, (1, 2))
 
     def test_routes_agree_n5(self):
         for g in small_catalog(5):
@@ -243,7 +242,7 @@ class TestEdgeScan:
         fam = generate("c7_blowup:q=2")
         entries = edge_localization_scan(fam.graph, 2)
         assert len(entries) == 35
-        by_edge = {e.edge.endpoints(): e for e in entries}
+        by_edge = {e.edge: e for e in entries}
         # the seven within-class edges pass, the 28 cross edges fail
         passing = [e for e in entries if e.in_lower_class]
         failing = [e for e in entries if e.in_lower_class is False]
