@@ -8,12 +8,10 @@ from .graphs import (
     EmptySubgraphError,
     Graph,
     Subgraph,
-    UnionGraph,
     closed_neighborhood,
     complement,
     connected_components,
     delete_edge,
-    disjoint_union,
     edge_localization,
     induced_subgraph,
     lexicographic_product,
@@ -26,7 +24,6 @@ from .independence import (
     fiber,
     independence_number,
     is_well_covered,
-    maximal_independent_sets,
     profile,
 )
 from .wp import (
@@ -38,7 +35,6 @@ from .wp import (
     gorenstein_combinatorial_check,
     is_alpha_critical_direct,
     is_alpha_critical_fibers,
-    is_edge_alpha_critical,
     is_in_wp_localization,
     is_in_wp_oracle,
     is_in_wp_ridge,

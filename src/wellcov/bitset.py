@@ -27,14 +27,6 @@ class VertexSet:
             raise ValueError("bits outside the universe")
 
     @classmethod
-    def empty(cls, universe: int) -> VertexSet:
-        return cls(universe, 0)
-
-    @classmethod
-    def full(cls, universe: int) -> VertexSet:
-        return cls(universe, (1 << universe) - 1)
-
-    @classmethod
     def of(cls, universe: int, vertices: Iterable[int]) -> VertexSet:
         bits = 0
         for v in vertices:

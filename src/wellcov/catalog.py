@@ -46,7 +46,8 @@ def labeled_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
     if n > limit:
         raise ValueError(
             f"exhaustive catalog capped at {limit} vertices (got {n})"
-            + ("" if allow_large else "; pass allow_large for 7")
+            + ("" if allow_large else f"; {HARD_MAX_N} needs allow_large=True"
+               " (--allow-large on the command line)")
         )
     for mask in range(catalog_size(n)):
         yield graph_from_pair_mask(n, mask)

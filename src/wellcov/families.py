@@ -16,6 +16,10 @@ Labelings:
   c7_blowup       copy k of cycle vertex i is i*q+k, so class i is
                   the block {i*q, ..., i*q+q-1}
   disjoint_cliques        r consecutive blocks of p vertices
+
+c7_blowup:q and disjoint_cliques:r,p are the lexicographic products of
+the 7-cycle with K_q and of the edgeless graph on r vertices with K_p,
+so they carry the product's labels and classes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import VertexSet
-from .graphs import Graph, complement
+from .graphs import Graph, complement, lexicographic_product
 
 _PETERSEN_N = 10
 
@@ -90,7 +94,7 @@ def _cycle(spec: FamilySpec) -> FamilyGraph:
     n = spec.param("n")
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    g = Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
     return FamilyGraph(spec, g, None)
 
 
@@ -98,7 +102,7 @@ def _path(spec: FamilySpec) -> FamilyGraph:
     n = spec.param("n")
     if n < 1:
         raise ValueError("a path needs at least 1 vertex")
-    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    g = Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
     return FamilyGraph(spec, g, None)
 
 
@@ -106,7 +110,7 @@ def _complete(spec: FamilySpec) -> FamilyGraph:
     n = spec.param("n")
     if n < 1:
         raise ValueError("a complete graph needs at least 1 vertex")
-    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v)])
+    g = Graph.from_edges(n, ((u, v) for v in range(n) for u in range(v)))
     return FamilyGraph(spec, g, None)
 
 
@@ -143,36 +147,15 @@ def _petersen_complement(spec: FamilySpec) -> FamilyGraph:
 
 
 def _c7_blowup(spec: FamilySpec) -> FamilyGraph:
-    """Substitute a q-clique into every vertex of a 7-cycle.
-
-    Built directly from the definition; agreement with the generic
-    lexicographic product is asserted in tests, not assumed here.
-    """
-    q = spec.param("q")
-    if q < 1:
-        raise ValueError("class size must be at least 1")
-    n = 7 * q
-    rows = []
-    for i in range(7):
-        block = ((1 << q) - 1) << i * q
-        sides = ((1 << q) - 1) << ((i + 1) % 7) * q | ((1 << q) - 1) << ((i + 6) % 7) * q
-        for k in range(q):
-            rows.append(sides | block & ~(1 << i * q + k))
-    classes = tuple(VertexSet(n, ((1 << q) - 1) << i * q) for i in range(7))
-    return FamilyGraph(spec, Graph(n, tuple(rows)), classes)
+    c7 = Graph.from_edges(7, ((i, (i + 1) % 7) for i in range(7)))
+    blow = lexicographic_product(c7, spec.param("q"))
+    return FamilyGraph(spec, blow.graph, blow.classes)
 
 
 def _disjoint_cliques(spec: FamilySpec) -> FamilyGraph:
-    r, p = spec.param("r"), spec.param("p")
-    if r < 1 or p < 1:
-        raise ValueError("r and p must be at least 1")
-    n = r * p
-    classes = tuple(VertexSet(n, ((1 << p) - 1) << i * p) for i in range(r))
-    rows = []
-    for c in classes:
-        for v in c:
-            rows.append(c.bits & ~(1 << v))
-    return FamilyGraph(spec, Graph(n, tuple(rows)), classes)
+    edgeless = Graph.from_edges(spec.param("r"), ())
+    blow = lexicographic_product(edgeless, spec.param("p"))
+    return FamilyGraph(spec, blow.graph, blow.classes)
 
 
 _FAMILIES = {

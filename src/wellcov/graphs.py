@@ -11,7 +11,7 @@ empty keep set outright so the two cases stay distinguishable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .bitset import MAX_UNIVERSE, VertexSet
 
@@ -51,6 +51,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        # checked before the rows exist, so an oversize n fails at once
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} out of range 1..{MAX_VERTICES}")
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -82,15 +85,9 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighborhood(self, v: int) -> VertexSet:
-        return VertexSet(self.n, self.adj[v])
-
     def is_complete(self) -> bool:
         full = (1 << self.n) - 1
         return all(row == full ^ 1 << v for v, row in enumerate(self.adj))
-
-    def is_edgeless(self) -> bool:
-        return all(row == 0 for row in self.adj)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,30 +201,6 @@ def lexicographic_product(g: Graph, q: int) -> Blowup:
             rows.append(spread | block & ~(1 << v * q + k))
     classes = tuple(VertexSet(n, class_mask << v * q) for v in range(g.n))
     return Blowup(Graph(n, tuple(rows)), classes)
-
-
-@dataclass(frozen=True, slots=True)
-class UnionGraph:
-    """A disjoint union with the block of each summand exposed."""
-
-    graph: Graph
-    blocks: tuple[VertexSet, ...]
-
-
-def disjoint_union(parts: Sequence[Graph]) -> UnionGraph:
-    if not parts:
-        raise ValueError("disjoint union of no graphs")
-    n = sum(p.n for p in parts)
-    if n > MAX_VERTICES:
-        raise ValueError(f"union on {n} vertices exceeds the cap {MAX_VERTICES}")
-    rows: list[int] = []
-    blocks = []
-    offset = 0
-    for p in parts:
-        rows.extend(row << offset for row in p.adj)
-        blocks.append(VertexSet(n, ((1 << p.n) - 1) << offset))
-        offset += p.n
-    return UnionGraph(Graph(n, tuple(rows)), tuple(blocks))
 
 
 def connected_components(g: Graph) -> tuple[VertexSet, ...]:

@@ -13,7 +13,10 @@ pivoting branch-and-bound on bitmask rows, and independent sets of a
 fixed size are the cliques of that size in the complement.
 `maximal_clique_masks` and `clique_masks_of_size` take bitmask rows, so
 the clique side of `saturation` calls them directly on a graph's own
-rows.
+rows.  `maximal_clique_masks` is the one cached facet producer: the
+facets of g and the maximal cliques of complement(g) are one table,
+read by `maximal_independent_set_masks(g)` and by
+`saturation.maximal_clique_sizes_uniform(complement(g))` alike.
 
 `independence_number` runs once per edge deletion and localization in
 the criticality and recursion routes, so it does not enumerate.  It
@@ -25,25 +28,31 @@ cliques and their blow-ups, the sharp families of the theorem, then
 resolve with little or no branching.
 
 The builders in `TABLE_BUILDERS` cache one entry each, the table of the
-last graph asked.  Tables are immutable and depend only on `(n, adj)`,
-plus the size for `clique_masks_of_size`, whose one size per graph job
-is alpha - 1 on the complement's rows.  The routes checking one graph
-ask back to back and the next graph evicts the entry, so one entry per
-builder covers a graph's job.
+last graph asked.  Tables are immutable and depend only on `(n, adj)`
+or on `(rows, n)`, plus the size for `clique_masks_of_size`.  A graph
+job asks the two row builders about its complement's rows only: for
+the maximal cliques, and for the cliques of size alpha - 1.  The
+routes checking one graph ask back to back and the next graph evicts
+the entry, so one entry per builder covers a graph's job.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .bitset import VertexSet
 from .graphs import Graph
 
 
-def maximal_clique_masks(rows: Sequence[int], n: int) -> list[int]:
-    """All maximal cliques of the graph given by bitmask rows, as masks."""
+@lru_cache(maxsize=1)
+def maximal_clique_masks(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """All maximal cliques of the graph given by bitmask rows, as masks,
+    ascending.
+
+    Cached on its arguments, so the rows must be a tuple: the facets of
+    g's independence complex are the maximal cliques of its complement,
+    which the clique side asks for again."""
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
@@ -73,7 +82,8 @@ def maximal_clique_masks(rows: Sequence[int], n: int) -> list[int]:
             p ^= low
             x |= low
     expand(0, (1 << n) - 1, 0)
-    return out
+    out.sort()
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -104,16 +114,14 @@ def clique_masks_of_size(rows: tuple[int, ...], n: int, k: int) -> tuple[int, ..
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
+def _complement_rows(g: Graph) -> tuple[int, ...]:
+    full = (1 << g.n) - 1
+    return tuple(row ^ full ^ (1 << v) for v, row in enumerate(g.adj))
+
+
 def maximal_independent_set_masks(g: Graph) -> tuple[int, ...]:
     """Maximal independent sets as bitmasks, ascending (colex order)."""
-    full = (1 << g.n) - 1
-    comp_rows = [row ^ full ^ (1 << v) for v, row in enumerate(g.adj)]
-    return tuple(sorted(maximal_clique_masks(comp_rows, g.n)))
-
-
-def maximal_independent_sets(g: Graph) -> tuple[VertexSet, ...]:
-    return tuple(VertexSet(g.n, m) for m in maximal_independent_set_masks(g))
+    return maximal_clique_masks(_complement_rows(g), g.n)
 
 
 @lru_cache(maxsize=1)
@@ -138,9 +146,7 @@ def independent_set_masks(g: Graph) -> tuple[int, ...]:
 
 def independent_masks_of_size(g: Graph, k: int) -> tuple[int, ...]:
     """Independent sets of size exactly k as bitmasks, ascending."""
-    full = (1 << g.n) - 1
-    comp_rows = tuple(row ^ full ^ (1 << v) for v, row in enumerate(g.adj))
-    return clique_masks_of_size(comp_rows, g.n, k)
+    return clique_masks_of_size(_complement_rows(g), g.n, k)
 
 
 def independence_number(g: Graph) -> int:
@@ -254,7 +260,7 @@ def profile(g: Graph) -> IndependenceProfile:
 
 
 TABLE_BUILDERS = (
-    maximal_independent_set_masks, independent_set_masks, clique_masks_of_size, profile)
+    maximal_clique_masks, independent_set_masks, clique_masks_of_size, profile)
 
 
 def fiber(g: Graph, s: VertexSet) -> VertexSet:

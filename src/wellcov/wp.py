@@ -234,11 +234,6 @@ def w_index(g: Graph) -> int | None:
     return prof.min_fiber_size
 
 
-def is_edge_alpha_critical(g: Graph, e: tuple[int, int]) -> bool:
-    """Does deleting this edge raise the independence number?"""
-    return independence_number(delete_edge(g, e)) > independence_number(g)
-
-
 def is_alpha_critical_direct(g: Graph) -> bool:
     """Every edge deletion raises the independence number.
 

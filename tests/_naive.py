@@ -54,6 +54,16 @@ def max_clique_size(g: Graph) -> int:
     return max(k for k in range(g.n + 1) if k == 0 or has_clique(g, k))
 
 
+def blowup(g: Graph, q: int) -> tuple[Graph, list[tuple[int, ...]]]:
+    """g with each vertex replaced by a q-clique, by the definition:
+    u ~ w iff u != w and u // q, w // q are equal or adjacent in g.
+    Returns the graph and its classes, the q-blocks in order."""
+    n = g.n * q
+    edges = [(u, w) for u, w in combinations(range(n), 2)
+             if u // q == w // q or g.has_edge(u // q, w // q)]
+    return Graph.from_edges(n, edges), [tuple(range(i * q, i * q + q)) for i in range(g.n)]
+
+
 def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
     cliques = [frozenset(vs) for k in range(g.n + 1)
                for vs in combinations(range(g.n), k) if is_clique(g, vs)]

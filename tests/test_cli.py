@@ -161,6 +161,7 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--exhaustive", "7")
         assert code == EXIT_USAGE
         assert "capped at 6 vertices" in err
+        assert "--allow-large" in err
 
     def test_catalog_order_below_one_is_usage_error(self, capsys):
         code, _, err = run(capsys, "scan", "--exhaustive", "0")
@@ -175,7 +176,7 @@ class TestScan:
         body = json.loads(out)
         assert body["graphs_checked"] == 64
         assert set(body["table_cache"]) == {
-            "maximal_independent_set_masks", "independent_set_masks",
+            "maximal_clique_masks", "independent_set_masks",
             "clique_masks_of_size", "profile"}
         for counts in body["table_cache"].values():
             assert counts["misses"] == body["graphs_checked"]

@@ -1,18 +1,21 @@
 """Family generator tests.
 
 Labelings are frozen, so expectations here are literal edge sets.  The
-structural invariants cross two construction routes: the blowup family
-against the generic product, and the clique union against the
-multipartite complement.
+structural invariants cross two construction routes: the blowup
+families against the definition of a blow-up (`tests/_naive.py`), and
+the clique union against the multipartite complement.  Oversize specs
+must fail before anything of their size is built.
 """
+
+import time
 
 import pytest
 
 from wellcov import (
     FamilySpec,
+    Graph,
     complement,
     generate,
-    lexicographic_product,
 )
 from tests import _naive
 
@@ -97,12 +100,25 @@ class TestInvariants:
         g = generate("petersen_complement").graph
         assert g.adj == complement(generate("petersen").graph).adj
 
-    @pytest.mark.parametrize("q", [1, 2, 3])
-    def test_blowup_agrees_with_product(self, q):
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_c7_blowup_matches_definition(self, q):
         fam = generate(f"c7_blowup:q={q}")
-        prod = lexicographic_product(generate("cycle:n=7").graph, q)
-        assert fam.graph.adj == prod.graph.adj
-        assert [c.bits for c in fam.classes] == [c.bits for c in prod.classes]
+        ref, classes = _naive.blowup(generate("cycle:n=7").graph, q)
+        assert fam.graph.adj == ref.adj
+        assert [c.to_tuple() for c in fam.classes] == classes
+
+    @pytest.mark.parametrize("r,p", [
+        (r, p) for r in range(1, 13) for p in range(1, 13) if r * p <= 12])
+    def test_disjoint_cliques_match_definition(self, r, p):
+        fam = generate(f"disjoint_cliques:r={r},p={p}")
+        ref, classes = _naive.blowup(Graph.from_edges(r, []), p)
+        assert fam.graph.adj == ref.adj
+        assert [c.to_tuple() for c in fam.classes] == classes
+
+    @pytest.mark.parametrize("spec", ["c7_blowup:q=0", "disjoint_cliques:r=2,p=0"])
+    def test_blowup_class_size_below_one_rejected(self, spec):
+        with pytest.raises(ValueError, match="clique size must be at least 1"):
+            generate(spec)
 
     @pytest.mark.parametrize("r,p", [(2, 2), (3, 2), (2, 3)])
     def test_clique_union_is_multipartite_complement(self, r, p):
@@ -114,3 +130,16 @@ class TestInvariants:
     def test_multipartite_independence(self):
         fam = generate("complete_multipartite:parts=3,2")
         assert _naive.maximal_independent_sets(fam.graph) == [(0, 1, 2), (3, 4)]
+
+
+@pytest.mark.parametrize("spec", [
+    "cycle:n=1000000000", "path:n=1000000000", "complete:n=1000000",
+    "c7_blowup:q=1000000", "disjoint_cliques:r=1000000000,p=1",
+    "disjoint_cliques:r=2,p=1000000000",
+])
+def test_oversize_spec_fails_before_building(spec):
+    # building first would allocate up to 10**9 entries before the cap
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="512"):
+        generate(spec)
+    assert time.perf_counter() - start < 0.1

@@ -25,7 +25,7 @@ class TestHandVectors:
 
     def test_k2_and_empty2(self):
         assert encode(k(2)) == "A_"
-        assert decode("A?").is_edgeless()
+        assert decode("A?").edge_count == 0
 
     def test_k3(self):
         assert encode(k(3)) == "Bw"

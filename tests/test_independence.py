@@ -22,7 +22,7 @@ from wellcov import (
     generate,
     independence_number,
     is_well_covered,
-    maximal_independent_sets,
+    maximal_clique_sizes_uniform,
     profile,
 )
 from wellcov import independence
@@ -31,6 +31,7 @@ from wellcov.graphs import localization
 from wellcov.independence import (
     independent_masks_of_size,
     independent_set_masks,
+    maximal_clique_masks,
     maximal_independent_set_masks,
 )
 from tests import _naive
@@ -44,8 +45,14 @@ def small_catalog(max_n: int):
 class TestAgainstNaive:
     def test_maximal_sets_match(self):
         for g in small_catalog(5):
-            got = [s.to_tuple() for s in maximal_independent_sets(g)]
+            got = [VertexSet(g.n, m).to_tuple() for m in maximal_independent_set_masks(g)]
             assert sorted(got) == _naive.maximal_independent_sets(g)
+
+    def test_maximal_cliques_are_the_complements_facets(self):
+        for g in small_catalog(5):
+            want = sorted(sum(1 << v for v in vs)
+                          for vs in _naive.maximal_independent_sets(complement(g)))
+            assert maximal_clique_masks(g.adj, g.n) == tuple(want)
 
     def test_alpha_matches(self):
         for g in small_catalog(5):
@@ -92,8 +99,10 @@ class TestAgainstNaive:
 
 
 def alpha_by_facets(g: Graph) -> int:
-    """Alpha read off the uncached maximal-set engine, a separate route."""
-    return max(m.bit_count() for m in maximal_independent_set_masks.__wrapped__(g))
+    """Alpha read off the uncached maximal-clique engine on the
+    complement, a separate route."""
+    rows = complement(g).adj
+    return max(m.bit_count() for m in maximal_clique_masks.__wrapped__(rows, g.n))
 
 
 def with_neighbours(g: Graph):
@@ -178,6 +187,19 @@ class TestOrdering:
     def test_masks_ascend(self, petersen):
         masks = maximal_independent_set_masks(petersen)
         assert list(masks) == sorted(masks)
+
+
+class TestFacetTable:
+    def test_complement_cliques_share_the_facet_table(self):
+        # the facets of g and the maximal cliques of its complement are
+        # one table, built once
+        g = generate("disjoint_cliques:r=6,p=3").graph
+        maximal_independent_set_masks(g)
+        before = maximal_clique_masks.cache_info()
+        maximal_clique_sizes_uniform(complement(g))
+        after = maximal_clique_masks.cache_info()
+        assert after.hits - before.hits == 1
+        assert after.misses == before.misses
 
 
 class TestProfile:

@@ -69,7 +69,7 @@ class TestSaturationAgainstNaive:
 
 class TestCodegree:
     def test_empty_clique_convention(self, c5):
-        assert clique_codegree(c5, VertexSet.empty(5)) == 5
+        assert clique_codegree(c5, VertexSet(5, 0)) == 5
         assert min_clique_codegree(c5, 1) == 5
 
     def test_single_vertex(self, petersen):

@@ -14,13 +14,13 @@ from wellcov import (
     Graph,
     OracleSizeError,
     complement,
+    delete_edge,
     edge_localization_scan,
     generate,
     gorenstein_combinatorial_check,
     independence_number,
     is_alpha_critical_direct,
     is_alpha_critical_fibers,
-    is_edge_alpha_critical,
     is_in_wp_localization,
     is_in_wp_oracle,
     is_in_wp_ridge,
@@ -81,7 +81,7 @@ class TestDeciders:
         assert not is_in_wp_localization(k2, 3)
         # the witness is the all-empty family
         assert wp_oracle_counterexample(k2, 3) == (
-            VertexSet.empty(2), VertexSet.empty(2), VertexSet.empty(2))
+            VertexSet(2, 0), VertexSet(2, 0), VertexSet(2, 0))
 
     def test_known_values(self, c5, c7, c4, star):
         assert is_in_wp_oracle(c5, 2) and not is_in_wp_oracle(c5, 3)
@@ -201,8 +201,11 @@ class TestCriticality:
         assert not ok and uncovered == (1, 2)
 
     def test_single_edge_predicate(self, p4):
-        assert is_edge_alpha_critical(p4, (0, 1))
-        assert not is_edge_alpha_critical(p4, (1, 2))
+        # (0, 1) precedes (1, 2) in edge order, so deleting it must raise alpha
+        assert non_critical_edge(p4) == (1, 2)
+        alpha = independence_number(p4)
+        assert independence_number(delete_edge(p4, (0, 1))) == alpha + 1
+        assert independence_number(delete_edge(p4, (1, 2))) == alpha
 
     def test_routes_agree_n5(self):
         for g in small_catalog(5):
