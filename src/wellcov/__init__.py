@@ -49,13 +49,11 @@ from .saturation import (
     HYPOTHESIS_UNMET,
     VIOLATION,
     BoundReport,
-    RigidityReport,
     alpha2_check,
     alpha3_check,
     bound_report,
     clique_codegree,
     clique_union_shape,
-    dense_rigidity_check,
     is_kt_free,
     is_kt_saturated,
     maximal_clique_sizes_uniform,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import VertexSet
-from .graphs import Graph, complement, lexicographic_product
+from .graphs import MAX_VERTICES, Graph, complement, lexicographic_product
 
 _PETERSEN_N = 10
 
@@ -119,6 +119,8 @@ def _complete_multipartite(spec: FamilySpec) -> FamilyGraph:
     if not parts or any(s < 1 for s in parts):
         raise ValueError("part sizes must be positive")
     n = sum(parts)
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} out of range 1..{MAX_VERTICES}")
     classes = []
     offset = 0
     for size in parts:

@@ -3,9 +3,10 @@
 Saturation, uniform maximal clique sizes, and clique codegrees are the
 complement-side mirror of independence structure: independent sets of a
 graph are cliques of its complement, so one enumeration engine serves
-both sides.  The bound report collects the exact edge, degree, and
-order consequences for complements of the graphs the deciders accept,
-all in exact integer arithmetic.
+both sides.  The alpha2 and alpha3 checks return a per-graph level
+that p is compared against.  The bound report collects the exact edge,
+degree, order, and dense rigidity consequences for complements of the
+graphs the deciders accept, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -110,25 +111,25 @@ def min_clique_codegree(h: Graph, r: int) -> int:
     return best
 
 
-def alpha2_check(h: Graph, p: int) -> bool:
-    """Complement-side test for independence number 2: maximal
-    triangle-free with minimum degree at least p."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    return is_kt_saturated(h, 3) and min(h.degree(v) for v in range(h.n)) >= p
+def alpha2_check(h: Graph) -> int:
+    """Complement-side level for independence number 2: the minimum
+    degree when h is maximal triangle-free, else 0."""
+    if not is_kt_saturated(h, 3):
+        return 0
+    return min(h.degree(v) for v in range(h.n))
 
 
-def alpha3_check(h: Graph, p: int) -> bool:
-    """Complement-side test for independence number 3: K_4-saturated,
-    maximal cliques are triangles, every edge is in at least p triangles."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+def alpha3_check(h: Graph) -> int:
+    """Complement-side level for independence number 3: the fewest
+    triangles on an edge when h is K_4-saturated and its maximal
+    cliques are triangles, else 0."""
     if not is_kt_saturated(h, 4):
-        return False
+        return 0
     uniform, size = maximal_clique_sizes_uniform(h)
     if not (uniform and size == 3):
-        return False
-    return all((h.adj[u] & h.adj[v]).bit_count() >= p for u, v in h.edges())
+        return 0
+    # every maximal clique is a triangle, so h has edges
+    return min((h.adj[u] & h.adj[v]).bit_count() for u, v in h.edges())
 
 
 def clique_union_shape(g: Graph) -> tuple[int, ...] | None:
@@ -139,32 +140,6 @@ def clique_union_shape(g: Graph) -> tuple[int, ...] | None:
             if c.bits & ~g.adj[v] & ~(1 << v):
                 return None
     return tuple(len(c) for c in comps)
-
-
-@dataclass(frozen=True, slots=True)
-class RigidityReport:
-    verdict: str
-    complement_clique_sizes: tuple[int, ...] | None
-
-
-def dense_rigidity_check(h: Graph, r: int, p: int) -> RigidityReport:
-    """Above the density threshold the complement must split into r
-    cliques of size at least p.
-
-    The threshold delta(h) > (3r-4)/(3r-1) * n is compared in exact
-    integers.  Verdicts: hypothesis_unmet when the density is too low,
-    holds when the complement has the forced shape, violation otherwise
-    (which refutes the caller's hypotheses, not this check).
-    """
-    if r < 1 or p < 1:
-        raise ValueError("r and p must be at least 1")
-    delta = min(h.degree(v) for v in range(h.n))
-    if delta * (3 * r - 1) <= (3 * r - 4) * h.n:
-        return RigidityReport(HYPOTHESIS_UNMET, None)
-    shape = clique_union_shape(complement(h))
-    if shape is not None and len(shape) == r and all(s >= p for s in shape):
-        return RigidityReport(HOLDS, shape)
-    return RigidityReport(VIOLATION, shape)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,7 +159,6 @@ class BoundReport:
     min_degree: int
     min_degree_bound: int
     universal_vertex: int | None
-    rigidity_verdict: str
     complement_clique_sizes: tuple[int, ...] | None
 
     @property
@@ -206,6 +180,22 @@ class BoundReport:
     @property
     def universal_vertex_ok(self) -> bool:
         return self.p < 2 or self.universal_vertex is None
+
+    @property
+    def rigidity_verdict(self) -> str:
+        """Above the density threshold delta(h) > (3r-4)/(3r-1) * n,
+        compared in exact integers, the complement must split into r
+        cliques of size at least p.  Verdicts: hypothesis_unmet when the
+        density is too low, holds when the complement has the forced
+        shape, violation otherwise (which refutes the caller's
+        hypotheses, not this check)."""
+        r = self.r
+        if self.min_degree * (3 * r - 1) <= (3 * r - 4) * self.n:
+            return HYPOTHESIS_UNMET
+        shape = self.complement_clique_sizes
+        if shape is not None and len(shape) == r and all(s >= self.p for s in shape):
+            return HOLDS
+        return VIOLATION
 
     @property
     def n_equals_rp(self) -> bool:
@@ -236,6 +226,5 @@ def bound_report(h: Graph, r: int, p: int) -> BoundReport:
         min_degree=min(h.degree(v) for v in range(h.n)),
         min_degree_bound=p * (r - 1),
         universal_vertex=universal,
-        rigidity_verdict=dense_rigidity_check(h, r, p).verdict,
         complement_clique_sizes=clique_union_shape(complement(h)),
     )

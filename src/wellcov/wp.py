@@ -35,6 +35,8 @@ The sharing rule, precisely:
     complete base, and the levels of conditions (b)-(d).  The catalog
     checks read the ridge decider the same way, as a threshold on one
     `w_index` per graph, instead of calling `is_in_wp_ridge` at each p.
+    The complement-side specializations `alpha2_check` and
+    `alpha3_check` are levels too, so only the oracle runs per p.
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
   * Caches sit only on the shared enumeration primitives (the table

@@ -136,6 +136,7 @@ class TestInvariants:
     "cycle:n=1000000000", "path:n=1000000000", "complete:n=1000000",
     "c7_blowup:q=1000000", "disjoint_cliques:r=1000000000,p=1",
     "disjoint_cliques:r=2,p=1000000000",
+    "complete_multipartite:parts=100000000", "complete_multipartite:parts=300,300",
 ])
 def test_oversize_spec_fails_before_building(spec):
     # building first would allocate up to 10**9 entries before the cap

@@ -4,6 +4,8 @@ The saturation predicates are cross-checked against naive subset
 enumeration; the bound reports against hand-computed instances.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from wellcov import (
@@ -18,7 +20,6 @@ from wellcov import (
     clique_codegree,
     clique_union_shape,
     complement,
-    dense_rigidity_check,
     generate,
     independence_number,
     is_kt_free,
@@ -109,21 +110,99 @@ class TestCodegree:
 
 class TestSpecializations:
     def test_petersen_is_the_alpha2_witness(self, petersen):
-        assert alpha2_check(petersen, 3)
-        assert not alpha2_check(petersen, 4)
+        # level 3 holds at p = 3 and fails at p = 4
+        assert alpha2_check(petersen) == 3
 
     def test_alpha2_matches_theorem_on_catalog(self):
         for h in small_catalog(4):
             g = complement(h)
             r = independence_number(g)
+            level = alpha2_check(h)
             for p in (1, 2):
                 rep = main_theorem_report(g, p)
-                assert alpha2_check(h, p) == (rep.all_true and r == 2)
+                assert (level >= p) == (rep.all_true and r == 2)
 
     def test_doubled_c7_complement_is_the_alpha3_witness(self):
+        # level 2 holds at p = 2 and fails at p = 3
         h = complement(generate("c7_blowup:q=2").graph)
-        assert alpha3_check(h, 2)
-        assert not alpha3_check(h, 3)
+        assert alpha3_check(h) == 2
+
+
+def naive_degree(g: Graph, u: int) -> int:
+    return sum(g.has_edge(u, v) for v in range(g.n) if v != u)
+
+
+def naive_clique_union_sizes(g: Graph) -> list[int] | None:
+    """Component sizes of g when every component is a clique, else None."""
+    seen: set[int] = set()
+    sizes = []
+    for s in range(g.n):
+        if s in seen:
+            continue
+        comp, frontier = {s}, [s]
+        while frontier:
+            u = frontier.pop()
+            for v in range(g.n):
+                if v not in comp and g.has_edge(u, v):
+                    comp.add(v)
+                    frontier.append(v)
+        seen |= comp
+        if not _naive.is_clique(g, sorted(comp)):
+            return None
+        sizes.append(len(comp))
+    return sizes
+
+
+def naive_rigidity(delta: int, n: int, sizes: list[int] | None, r: int, p: int) -> str:
+    """Dense rigidity for h = complement(g) on n vertices, by the
+    definition: when delta(h) > (3r-4)/(3r-1) * n, g is r cliques of
+    size at least p.  sizes are g's clique components, if it has them."""
+    if delta <= Fraction(3 * r - 4, 3 * r - 1) * n:
+        return HYPOTHESIS_UNMET
+    if sizes is not None and len(sizes) == r and min(sizes) >= p:
+        return HOLDS
+    return VIOLATION
+
+
+class TestLevelsAgainstNaive:
+    """The per-graph levels and the derived rigidity verdict against
+    their definitions, on h = complement(g) for every labeled g with
+    n <= 6."""
+
+    def test_alpha2_level(self):
+        for g in small_catalog(6):
+            h = complement(g)
+            level = alpha2_check(h)
+            # K_3-free and every non-edge closes a triangle
+            saturated = naive_saturated(h, 3)
+            delta = min(naive_degree(h, u) for u in range(h.n))
+            for p in range(1, h.n + 2):
+                assert (level >= p) == (saturated and delta >= p)
+
+    def test_alpha3_level(self):
+        for g in small_catalog(6):
+            h = complement(g)
+            level = alpha3_check(h)
+            # K_4-free, every non-edge closes a K_4, every maximal
+            # clique is a triangle
+            if not (naive_saturated(h, 4)
+                    and all(len(c) == 3 for c in _naive.maximal_cliques(h))):
+                assert level == 0
+                continue
+            on_edge = [sum(_naive.is_clique(h, (u, v, w)) for w in range(h.n) if w not in (u, v))
+                       for u, v in h.edges()]
+            for p in range(1, h.n + 2):
+                assert (level >= p) == all(t >= p for t in on_edge)
+
+    def test_rigidity_verdict(self):
+        for g in small_catalog(6):
+            h = complement(g)
+            delta = min(naive_degree(h, u) for u in range(h.n))
+            sizes = naive_clique_union_sizes(g)
+            for r in range(1, independence_number(g) + 1):
+                for p in (1, 2, 3):
+                    want = naive_rigidity(delta, h.n, sizes, r, p)
+                    assert bound_report(h, r, p).rigidity_verdict == want
 
 
 class TestCliqueUnionShape:
@@ -140,21 +219,21 @@ class TestCliqueUnionShape:
 class TestRigidity:
     def test_holds(self):
         k33 = generate("complete_multipartite:parts=3,3").graph
-        rep = dense_rigidity_check(k33, 2, 3)
-        assert rep.verdict == HOLDS
-        assert rep.complement_clique_sizes == (3, 3)
+        br = bound_report(k33, 2, 3)
+        assert br.rigidity_verdict == HOLDS
+        assert br.complement_clique_sizes == (3, 3)
 
     def test_hypothesis_unmet(self, petersen):
-        rep = dense_rigidity_check(petersen, 2, 3)
-        assert rep.verdict == HYPOTHESIS_UNMET
+        br = bound_report(petersen, 2, 3)
+        assert br.rigidity_verdict == HYPOTHESIS_UNMET
 
     def test_violation_when_applied_blindly(self):
         # K_4 meets the density hypothesis for r=2, p=1 but its
         # complement is four isolated vertices, not two cliques
         k4 = generate("complete:n=4").graph
-        rep = dense_rigidity_check(k4, 2, 1)
-        assert rep.verdict == VIOLATION
-        assert rep.complement_clique_sizes == (1, 1, 1, 1)
+        br = bound_report(k4, 2, 1)
+        assert br.rigidity_verdict == VIOLATION
+        assert br.complement_clique_sizes == (1, 1, 1, 1)
 
 
 class TestBoundReport:

@@ -20,7 +20,7 @@ from wellcov import (
     sweep_catalog,
     theorem_reports,
 )
-from wellcov import independence
+from wellcov import independence, saturation
 from wellcov.catalog import labeled_graphs
 from wellcov.verify import catalog_suite
 
@@ -53,7 +53,7 @@ class TestPerGraphChecks:
 
     def test_one_shot_p_values_reach_every_corollary_check(self, c5, monkeypatch):
         # c5 is in W_1 and W_2 with alpha 2, so each p yields an alpha2 record
-        monkeypatch.setattr("wellcov.verify.alpha2_check", lambda h, p: False)
+        monkeypatch.setattr("wellcov.verify.alpha2_check", lambda h: 0)
         recs = corollary_discrepancies(c5, (1, 2))
         assert [rec["check"] for rec in recs] == ["alpha2", "alpha2"]
         assert corollary_discrepancies(c5, iter((1, 2))) == recs
@@ -78,6 +78,28 @@ class TestPerGraphChecks:
         built.clear()
         equivalence_discrepancies(c5, (1, 2, 3, 4, 5))
         assert len(built) == once
+
+    def test_saturation_checks_do_not_grow_with_p(self, c5, monkeypatch):
+        # the complement-side specializations are per-graph levels, so
+        # saturation is tested the same number of times at any count of p
+        calls = []
+        original = saturation.is_kt_saturated
+
+        def counting(h, t):
+            calls.append(t)
+            return original(h, t)
+        holders = [mod for name, mod in sys.modules.items()
+                   if name.startswith("wellcov.")
+                   and getattr(mod, "is_kt_saturated", None) is original]
+        assert saturation in holders
+        for mod in holders:
+            monkeypatch.setattr(mod, "is_kt_saturated", counting)
+        corollary_discrepancies(c5, (1,))
+        once = len(calls)
+        assert once > 0
+        calls.clear()
+        corollary_discrepancies(c5, (1, 2, 3, 4, 5))
+        assert len(calls) == once
 
 
 class TestSweep:
