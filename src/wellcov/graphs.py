@@ -11,7 +11,7 @@ empty keep set outright so the two cases stay distinguishable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .bitset import MAX_UNIVERSE, VertexSet
 
@@ -126,23 +126,43 @@ def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
     return VertexSet(g.n, bits)
 
 
+def induced_rows(rows: Sequence[int], keep: int) -> tuple[int, ...]:
+    """Rows of the subgraph induced on the vertex mask keep, with the
+    kept vertices relabeled 0, 1, ... in ascending order.
+
+    keep is cut into runs of consecutive vertices, and each row is
+    compacted one run at a time by a shift and a mask.
+    """
+    runs = []
+    dest = 0
+    bits = keep
+    while bits:
+        low = bits & -bits
+        run = bits & ~(bits + low)
+        bits ^= run
+        width = run.bit_count()
+        runs.append((low.bit_length() - 1, (1 << width) - 1, dest))
+        dest += width
+    out = []
+    bits = keep
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        row = rows[low.bit_length() - 1]
+        new = 0
+        for shift, mask, to in runs:
+            new |= (row >> shift & mask) << to
+        out.append(new)
+    return tuple(out)
+
+
 def induced_subgraph(g: Graph, keep: VertexSet) -> Subgraph:
     if keep.universe != g.n:
         raise ValueError("vertex set universe does not match the graph")
     if not keep:
         raise EmptySubgraphError("induced subgraph on an empty vertex set")
     kept = keep.to_tuple()
-    position = {old: new for new, old in enumerate(kept)}
-    rows = []
-    for old in kept:
-        bits = g.adj[old] & keep.bits
-        row = 0
-        while bits:
-            low = bits & -bits
-            row |= 1 << position[low.bit_length() - 1]
-            bits ^= low
-        rows.append(row)
-    return Subgraph(Graph(len(kept), tuple(rows)), kept)
+    return Subgraph(Graph(len(kept), induced_rows(g.adj, keep.bits)), kept)
 
 
 def localization(g: Graph, s: VertexSet) -> Subgraph | None:

@@ -18,14 +18,17 @@ facets of g and the maximal cliques of complement(g) are one table,
 read by `maximal_independent_set_masks(g)` and by
 `saturation.maximal_clique_sizes_uniform(complement(g))` alike.
 
-`independence_number` runs once per edge deletion and localization in
-the criticality and recursion routes, so it does not enumerate.  It
-branches on the closed neighbourhood N[v] of a least-degree vertex v
-(Tarjan and Trojanowski, 1977), which every maximal independent set
-meets, and takes v outright when its neighbourhood is a clique, since
-a maximum set then swaps its one vertex of N[v] for v.  Unions of
-cliques and their blow-ups, the sharp families of the theorem, then
-resolve with little or no branching.
+`alpha_within` is the alpha kernel.  It works on bitmask rows and a
+mask of allowed vertices, so the criticality and recursion routes ask
+it about an edge deletion or a localization without building a graph,
+and with a target it stops at the first independent set that large.
+`independence_number(g)` is the kernel on all of g.  It does not
+enumerate.  It branches on the closed neighbourhood N[v] of a
+least-degree vertex v (Tarjan and Trojanowski, 1977), which every
+maximal independent set meets, and takes v outright when its
+neighbourhood is a clique, since a maximum set then swaps its one
+vertex of N[v] for v.  Unions of cliques and their blow-ups, the sharp
+families of the theorem, then resolve with little or no branching.
 
 The builders in `TABLE_BUILDERS` cache one entry each, the table of the
 last graph asked.  Tables are immutable and depend only on `(n, adj)`
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .bitset import VertexSet
 from .graphs import Graph
@@ -149,8 +153,13 @@ def independent_masks_of_size(g: Graph, k: int) -> tuple[int, ...]:
     return clique_masks_of_size(_complement_rows(g), g.n, k)
 
 
-def independence_number(g: Graph) -> int:
-    """Size of a maximum independent set, by branch and bound.
+def alpha_within(rows: Sequence[int], allowed: int, target: int | None = None) -> int:
+    """Size of a largest independent set inside the vertex mask allowed
+    of the graph given by bitmask rows, by branch and bound.
+
+    With a target, the search stops at the first independent set of at
+    least target vertices and returns its size; the result is then alpha
+    when alpha is below the target, and otherwise at least the target.
 
     Each step looks at a vertex v of least degree among the allowed
     vertices.  When v's allowed neighbourhood is a clique, v is taken
@@ -158,20 +167,24 @@ def independence_number(g: Graph) -> int:
     and swapping u for v keeps it independent and maximum.  Otherwise
     the search branches on taking each u in N[v], since every maximal
     independent set meets N[v]; a later branch drops the earlier picks,
-    so no set is searched twice.  Depth is at most alpha + 1.
+    so no set is searched twice.  v itself goes first, as the greedy
+    least-degree pick reaches a large set soonest, which is what a
+    target stops at.  Depth is at most alpha + 1.
     """
-    rows = g.adj
     best = 0
+    # a set filling allowed ends the search whether or not a target is given
+    goal = allowed.bit_count() if target is None else target
 
-    def grow(allowed: int, size: int) -> None:
+    def grow(allowed: int, size: int) -> bool:
+        """Search below one node; True once best reaches goal."""
         nonlocal best
         while True:
             count = allowed.bit_count()
             if size + count <= best:
-                return
+                return False
             if count == 0:
                 best = size
-                return
+                return best >= goal
             # v: a least-degree vertex within allowed; degree <= 1 is least
             v_degree = count
             bits = allowed
@@ -196,15 +209,24 @@ def independence_number(g: Graph) -> int:
                 allowed &= ~nbrs & ~(1 << v)
                 size += 1
                 continue
-            branch = nbrs | 1 << v
-            while branch:
-                low = branch & -branch
-                branch ^= low
-                grow(allowed & ~rows[low.bit_length() - 1] & ~low, size + 1)
+            low = 1 << v
+            if grow(allowed & ~nbrs & ~low, size + 1):
+                return True
+            allowed ^= low
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                if grow(allowed & ~rows[low.bit_length() - 1] & ~low, size + 1):
+                    return True
                 allowed ^= low
-            return
-    grow((1 << g.n) - 1, 0)
+            return False
+    grow(allowed, 0)
     return best
+
+
+def independence_number(g: Graph) -> int:
+    """Size of a maximum independent set (`alpha_within` on every vertex)."""
+    return alpha_within(g.adj, (1 << g.n) - 1)
 
 
 def is_well_covered(g: Graph) -> bool:

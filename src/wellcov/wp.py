@@ -22,6 +22,10 @@ The sharing rule, precisely:
   * Enumeration primitives may be shared across routes.  These are the
     functions of `independence` and `saturation` that the tests
     cross-check against naive subset enumeration (`tests/_naive.py`).
+    The edge-deletion and localization routes call the row kernel
+    `alpha_within` on adjacency rows and vertex masks, so nothing they
+    do per edge or per vertex builds a `Graph`; each keeps its own
+    decision logic around the kernel.
   * A route's own result may be reused by that same route.  Condition
     (a) of the theorem report starts with the oracle, so the report
     keeps that verdict as `TheoremReport.oracle`, and the catalog
@@ -49,9 +53,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .bitset import VertexSet
-from .graphs import Graph, complement, delete_edge, edge_localization, induced_subgraph
+from .graphs import Graph, complement, edge_localization, induced_rows
 from .independence import (
     IndependenceProfile,
+    alpha_within,
     independence_number,
     independent_masks_of_size,
     independent_set_masks,
@@ -193,34 +198,48 @@ def is_in_wp_localization(g: Graph, p: int, memo: dict | None = None) -> bool:
 
     Every vertex localization must drop the independence number by
     exactly one and stay in the class; the base case is a complete
-    graph on at least p vertices.  A shared memo dict lets catalog
-    sweeps reuse work across graphs and levels.
+    graph on at least p vertices.  A shared memo dict, keyed by
+    adjacency rows, lets catalog sweeps reuse work across graphs and
+    levels.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    return _local_index(g, {} if memo is None else memo) >= p
+    memo = {} if memo is None else memo
+    index = memo.get(g.adj)
+    if index is None:
+        index = _local_index(g.adj, independence_number(g), memo)
+    return index >= p
 
 
-def _local_index(g: Graph, memo: dict) -> int:
+def _local_index(rows: tuple[int, ...], alpha: int, memo: dict) -> int:
     """The order of the smallest complete base the recursion reaches, or
-    0 once a vertex localization fails to drop alpha by exactly one."""
-    hit = memo.get(g.adj)
-    if hit is not None:
-        return hit
-    alpha = independence_number(g)
-    if alpha == 1:
-        result = g.n if g.is_complete() else 0
-    else:
-        result = g.n
-        full = (1 << g.n) - 1
-        for v in range(g.n):
-            keep = full & ~(g.adj[v] | 1 << v)
-            sub = induced_subgraph(g, VertexSet(g.n, keep)).graph if keep else None
-            drops = sub is not None and independence_number(sub) == alpha - 1
-            result = min(result, _local_index(sub, memo)) if drops else 0
+    0 once a vertex localization fails to drop alpha by exactly one.
+
+    rows are a graph's adjacency rows, not yet in memo, and alpha is its
+    independence number.  A localization g - N[v] never keeps alpha,
+    since v extends any of its independent sets, so it drops by exactly
+    one when it holds an independent set of alpha - 1 vertices; the
+    drop test asks the kernel that on g's own rows, and only a
+    localization that passes is relabeled into rows of its own.
+    """
+    n = len(rows)
+    # alpha 1 means every pair is adjacent: the complete base case
+    result = n
+    if alpha > 1:
+        full = (1 << n) - 1
+        for v in range(n):
+            keep = full & ~(rows[v] | 1 << v)
+            if alpha_within(rows, keep, alpha - 1) != alpha - 1:
+                result = 0
+                break
+            sub = induced_rows(rows, keep)
+            index = memo.get(sub)
+            if index is None:
+                index = _local_index(sub, alpha - 1, memo)
+            result = min(result, index)
             if result == 0:
                 break
-    memo[g.adj] = result
+    memo[rows] = result
     return result
 
 
@@ -247,11 +266,23 @@ def is_alpha_critical_direct(g: Graph) -> bool:
 
 
 def non_critical_edge(g: Graph) -> tuple[int, int] | None:
-    """First edge whose deletion keeps the independence number."""
+    """First edge whose deletion keeps the independence number.
+
+    Each deletion toggles the edge's two bits in one list of rows and
+    asks the kernel for an independent set of alpha + 1 vertices, which
+    it stops at; the rows are restored before the next edge.
+    """
     alpha = independence_number(g)
-    for e in g.edges():
-        if independence_number(delete_edge(g, e)) == alpha:
-            return e
+    rows = list(g.adj)
+    full = (1 << g.n) - 1
+    for u, v in g.edges():
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        raised = alpha_within(rows, full, alpha + 1) > alpha
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        if not raised:
+            return (u, v)
     return None
 
 

@@ -123,6 +123,19 @@ class TestInducedAndLocalization:
         # edges 1-2 survives, 4 is isolated after relabeling (3 was cut)
         assert set(sub.graph.edges()) == {(0, 1)}
 
+    def test_relabeling_matches_definition(self):
+        # every keep set of every labeled graph on up to five vertices:
+        # new i ~ new j exactly when kept[i] ~ kept[j] in the parent
+        for n in range(1, 6):
+            for g in labeled_graphs(n):
+                for bits in range(1, 1 << n):
+                    sub = induced_subgraph(g, VertexSet(n, bits))
+                    kept = sub.kept
+                    assert kept == tuple(v for v in range(n) if bits >> v & 1)
+                    assert set(sub.graph.edges()) == {
+                        (i, j) for i, j in itertools.combinations(range(len(kept)), 2)
+                        if g.has_edge(kept[i], kept[j])}
+
     def test_empty_keep_rejected(self, c5):
         with pytest.raises(EmptySubgraphError):
             induced_subgraph(c5, VertexSet(5, 0))

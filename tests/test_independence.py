@@ -2,9 +2,11 @@
 
 The catalog cross-checks run the full labeled catalog at n <= 5; the
 deeper n = 6 sweep lives in the acceptance suite.  The alpha kernel is
-also checked against the maximal-set engine on the n <= 6 catalog, the
-named families with their edge deletions and localizations, and seeded
-random graphs, and its search is held to a call budget.
+checked against naive alpha on every allowed mask of the n <= 5
+catalog, with and without a target, and against the maximal-set engine
+on the n <= 6 catalog, the named families with their edge deletions and
+localizations, and seeded random graphs; its search is held to a call
+budget.
 """
 
 import random
@@ -23,12 +25,14 @@ from wellcov import (
     independence_number,
     is_well_covered,
     maximal_clique_sizes_uniform,
+    non_critical_edge,
     profile,
 )
 from wellcov import independence
 from wellcov.catalog import labeled_graphs
 from wellcov.graphs import localization
 from wellcov.independence import (
+    alpha_within,
     independent_masks_of_size,
     independent_set_masks,
     maximal_clique_masks,
@@ -129,6 +133,22 @@ STRUCTURED_SPECS = (
 
 
 class TestAlphaKernel:
+    def test_every_mask_matches_naive(self):
+        # alpha inside each allowed mask, and with each target the size
+        # of an independent set in it: alpha itself below the target,
+        # else between the target and alpha
+        for g in small_catalog(5):
+            sets = [sum(1 << v for v in vs) for vs in _naive.independent_sets(g)]
+            for allowed in range(1 << g.n):
+                alpha = max(s.bit_count() for s in sets if s & ~allowed == 0)
+                assert alpha_within(g.adj, allowed) == alpha
+                for target in range(allowed.bit_count() + 2):
+                    got = alpha_within(g.adj, allowed, target)
+                    if alpha < target:
+                        assert got == alpha
+                    else:
+                        assert target <= got <= alpha
+
     def test_catalog_matches_facets(self):
         for g in small_catalog(6):
             assert independence_number(g) == alpha_by_facets(g)
@@ -145,8 +165,8 @@ class TestAlphaKernel:
             assert independence_number(g) == alpha_by_facets(g)
 
 
-def grow_calls(g: Graph) -> int:
-    """Frames of the kernel's inner search entered by one alpha call."""
+def grow_calls(route, g: Graph) -> int:
+    """Frames of the kernel's inner search entered by one call route(g)."""
     calls = 0
 
     def count(frame, event, arg):
@@ -156,7 +176,7 @@ def grow_calls(g: Graph) -> int:
             calls += 1
     sys.setprofile(count)
     try:
-        independence_number(g)
+        route(g)
     finally:
         sys.setprofile(None)
     return calls
@@ -170,17 +190,23 @@ class TestAlphaWork:
     def test_disjoint_cliques_take_one_call(self):
         g = generate("disjoint_cliques:r=8,p=3").graph
         for h in [g] + [delete_edge(g, e) for e in g.edges()]:
-            assert grow_calls(h) <= h.n
+            assert grow_calls(independence_number, h) <= h.n
 
     def test_c7_blowup(self):
         g = generate("c7_blowup:q=4").graph
         for h in [g] + [delete_edge(g, e) for e in g.edges()]:
-            assert grow_calls(h) <= 64
+            assert grow_calls(independence_number, h) <= 64
 
     def test_c7_blowup_complement(self):
         # later branches must drop the earlier picks: keeping them is
         # still exact but searches about three times as far
-        assert grow_calls(complement(generate("c7_blowup:q=8").graph)) <= 200
+        g = complement(generate("c7_blowup:q=8").graph)
+        assert grow_calls(independence_number, g) <= 200
+
+    def test_c7_blowup_deletions_stop_at_alpha_plus_one(self):
+        # a full alpha search per deletion opens 1,861 frames, and
+        # stopping at alpha + 1 with v's branch last 1,005
+        assert grow_calls(non_critical_edge, generate("c7_blowup:q=4").graph) <= 400
 
 
 class TestOrdering:

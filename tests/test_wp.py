@@ -3,7 +3,10 @@
 The three deciders are cross-checked on the full n <= 5 catalog here at
 every level up to n + 1, and the oracle against a naive ordered-tuple
 reference at p <= 3, which also pins the exact family the oracle
-returns; the complete n = 6 run belongs to the acceptance suite.
+returns; the complete n = 6 run belongs to the acceptance suite.  The
+row-level deletion and localization routes are checked against their
+versions on built graphs (`delete_edge`, `induced_subgraph`) on the
+n <= 6 catalog, and held to building no graph at all.
 """
 
 import sys
@@ -15,6 +18,7 @@ from wellcov import (
     OracleSizeError,
     complement,
     delete_edge,
+    induced_subgraph,
     edge_localization_scan,
     generate,
     gorenstein_combinatorial_check,
@@ -36,6 +40,7 @@ from wellcov.bitset import VertexSet
 from wellcov.catalog import labeled_graphs
 
 from tests import _naive
+from tests.test_independence import STRUCTURED_SPECS
 
 
 def small_catalog(max_n: int):
@@ -210,6 +215,101 @@ class TestCriticality:
     def test_routes_agree_n5(self):
         for g in small_catalog(5):
             assert is_alpha_critical_direct(g) == is_alpha_critical_fibers(g)[0]
+
+
+def non_critical_by_deletion(g: Graph) -> tuple[int, int] | None:
+    """The deletion route through built graphs: `delete_edge`, then
+    `independence_number` of the result, edge by edge."""
+    alpha = independence_number(g)
+    return next(
+        (e for e in g.edges() if independence_number(delete_edge(g, e)) == alpha), None)
+
+
+class TestDeletionRouteOnRows:
+    """The row-level deletion route against deleting each edge from a
+    built graph."""
+
+    def test_catalog_n6(self):
+        for g in small_catalog(6):
+            assert non_critical_edge(g) == non_critical_by_deletion(g)
+
+    @pytest.mark.parametrize("spec", STRUCTURED_SPECS)
+    def test_families(self, spec):
+        g = generate(spec).graph
+        assert non_critical_edge(g) == non_critical_by_deletion(g)
+
+
+def local_index_by_subgraphs(g: Graph, memo: dict) -> int:
+    """The localization recursion through built graphs: each vertex
+    localization is an `induced_subgraph`, and its drop test a fresh
+    `independence_number`."""
+    hit = memo.get(g.adj)
+    if hit is not None:
+        return hit
+    alpha = independence_number(g)
+    if alpha == 1:
+        result = g.n if g.is_complete() else 0
+    else:
+        result = g.n
+        full = (1 << g.n) - 1
+        for v in range(g.n):
+            keep = full & ~(g.adj[v] | 1 << v)
+            sub = induced_subgraph(g, VertexSet(g.n, keep)).graph if keep else None
+            if sub is None or independence_number(sub) != alpha - 1:
+                result = 0
+                break
+            result = min(result, local_index_by_subgraphs(sub, memo))
+            if result == 0:
+                break
+    memo[g.adj] = result
+    return result
+
+
+def local_index(g: Graph, memo: dict) -> int:
+    """The localization index read through the public decider."""
+    return sum(is_in_wp_localization(g, p, memo) for p in range(1, g.n + 2))
+
+
+class TestLocalizationOnRows:
+    """The row-level recursion against the recursion on induced
+    subgraphs, on the n <= 6 catalog; both memos must end up with the
+    same entries under the same adjacency keys."""
+
+    def test_fresh_memo_n6(self):
+        for g in small_catalog(6):
+            memo, ref = {}, {}
+            assert local_index(g, memo) == local_index_by_subgraphs(g, ref)
+            assert memo == ref
+
+    def test_shared_memo_n6(self):
+        memo, ref = {}, {}
+        for g in small_catalog(6):
+            assert local_index(g, memo) == local_index_by_subgraphs(g, ref)
+        assert memo == ref
+
+
+class TestNoGraphBuilds:
+    """The deletion and localization routes ask the kernel about rows
+    and masks; building and validating a graph per edge or per vertex
+    cost 154 and 92 builds on c7_blowup:q=4."""
+
+    @pytest.mark.parametrize("spec", [
+        "c7_blowup:q=4", "disjoint_cliques:r=8,p=3", "petersen_complement"])
+    @pytest.mark.parametrize("route", [
+        non_critical_edge, lambda g: is_in_wp_localization(g, 1)],
+        ids=["deletion", "localization"])
+    def test_routes_build_no_graph(self, spec, route, monkeypatch):
+        g = generate(spec).graph
+        builds = 0
+        validate = Graph.__post_init__
+
+        def counted(self):
+            nonlocal builds
+            builds += 1
+            validate(self)
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        route(g)
+        assert builds == 0
 
 
 class TestLocalization:
