@@ -129,30 +129,18 @@ def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
 def induced_rows(rows: Sequence[int], keep: int) -> tuple[int, ...]:
     """Rows of the subgraph induced on the vertex mask keep, with the
     kept vertices relabeled 0, 1, ... in ascending order.
-
-    keep is cut into runs of consecutive vertices, and each row is
-    compacted one run at a time by a shift and a mask.
     """
-    runs = []
-    dest = 0
-    bits = keep
-    while bits:
-        low = bits & -bits
-        run = bits & ~(bits + low)
-        bits ^= run
-        width = run.bit_count()
-        runs.append((low.bit_length() - 1, (1 << width) - 1, dest))
-        dest += width
+    kept = [v for v in range(len(rows)) if keep >> v & 1]
+    position = {old: new for new, old in enumerate(kept)}
     out = []
-    bits = keep
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        row = rows[low.bit_length() - 1]
-        new = 0
-        for shift, mask, to in runs:
-            new |= (row >> shift & mask) << to
-        out.append(new)
+    for old in kept:
+        bits = rows[old] & keep
+        row = 0
+        while bits:
+            low = bits & -bits
+            row |= 1 << position[low.bit_length() - 1]
+            bits ^= low
+        out.append(row)
     return tuple(out)
 
 

@@ -167,9 +167,7 @@ def alpha_within(rows: Sequence[int], allowed: int, target: int | None = None) -
     and swapping u for v keeps it independent and maximum.  Otherwise
     the search branches on taking each u in N[v], since every maximal
     independent set meets N[v]; a later branch drops the earlier picks,
-    so no set is searched twice.  v itself goes first, as the greedy
-    least-degree pick reaches a large set soonest, which is what a
-    target stops at.  Depth is at most alpha + 1.
+    so no set is searched twice.  Depth is at most alpha + 1.
     """
     best = 0
     # a set filling allowed ends the search whether or not a target is given
@@ -209,13 +207,10 @@ def alpha_within(rows: Sequence[int], allowed: int, target: int | None = None) -
                 allowed &= ~nbrs & ~(1 << v)
                 size += 1
                 continue
-            low = 1 << v
-            if grow(allowed & ~nbrs & ~low, size + 1):
-                return True
-            allowed ^= low
-            while nbrs:
-                low = nbrs & -nbrs
-                nbrs ^= low
+            branch = nbrs | 1 << v
+            while branch:
+                low = branch & -branch
+                branch ^= low
                 if grow(allowed & ~rows[low.bit_length() - 1] & ~low, size + 1):
                     return True
                 allowed ^= low

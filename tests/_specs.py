@@ -1,0 +1,11 @@
+"""Family specs shared by the cross-checks of several test modules.
+
+Disjoint cliques and the C7 blow-ups are the sharp families of the
+main theorem; the Petersen graph and its complement add a vertex-
+transitive graph that is not a blow-up.
+"""
+
+STRUCTURED_SPECS = (
+    [f"disjoint_cliques:r={r},p={p}" for r in range(1, 7) for p in (1, 2, 3)]
+    + [f"c7_blowup:q={q}" for q in (1, 2, 3, 4)]
+    + ["petersen", "petersen_complement"])

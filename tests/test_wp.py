@@ -40,7 +40,7 @@ from wellcov.bitset import VertexSet
 from wellcov.catalog import labeled_graphs
 
 from tests import _naive
-from tests.test_independence import STRUCTURED_SPECS
+from tests._specs import STRUCTURED_SPECS
 
 
 def small_catalog(max_n: int):
