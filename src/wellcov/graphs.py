@@ -11,6 +11,7 @@ empty keep set outright so the two cases stay distinguishable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .bitset import MAX_UNIVERSE, VertexSet
@@ -102,7 +103,13 @@ class Subgraph:
     kept: tuple[int, ...]
 
 
+@lru_cache(maxsize=1)
 def complement(g: Graph) -> Graph:
+    """The complement graph, built through the checking constructor.
+
+    Cached for the last graph asked: the facet and ridge tables, the
+    clique-side conditions and the catalog checks all read one graph's
+    complement back to back."""
     full = (1 << g.n) - 1
     return Graph(g.n, tuple(row ^ full ^ 1 << v for v, row in enumerate(g.adj)))
 

@@ -36,7 +36,12 @@ or on `(rows, n)`, plus the size for `clique_masks_of_size`.  A graph
 job asks the two row builders about its complement's rows only: for
 the maximal cliques, and for the cliques of size alpha - 1.  The
 routes checking one graph ask back to back and the next graph evicts
-the entry, so one entry per builder covers a graph's job.
+the entry, so one entry per builder covers a graph's job.  Two shared
+values carry the same one-entry cache without being tables:
+`graphs.complement`, whose rows those builders read, and
+`independence_number`, which several routes ask of the same graph.
+`independent_set_masks` is not cached: the oracle reads it once per
+graph, into a superset table that it keeps across p itself.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .bitset import VertexSet
-from .graphs import Graph
+from .graphs import Graph, complement
 
 
 @lru_cache(maxsize=1)
@@ -118,17 +123,11 @@ def clique_masks_of_size(rows: tuple[int, ...], n: int, k: int) -> tuple[int, ..
     return tuple(out)
 
 
-def _complement_rows(g: Graph) -> tuple[int, ...]:
-    full = (1 << g.n) - 1
-    return tuple(row ^ full ^ (1 << v) for v, row in enumerate(g.adj))
-
-
 def maximal_independent_set_masks(g: Graph) -> tuple[int, ...]:
     """Maximal independent sets as bitmasks, ascending (colex order)."""
-    return maximal_clique_masks(_complement_rows(g), g.n)
+    return maximal_clique_masks(complement(g).adj, g.n)
 
 
-@lru_cache(maxsize=1)
 def independent_set_masks(g: Graph) -> tuple[int, ...]:
     """Every independent set as a bitmask, ascending, starting at 0."""
     rows = g.adj
@@ -150,7 +149,7 @@ def independent_set_masks(g: Graph) -> tuple[int, ...]:
 
 def independent_masks_of_size(g: Graph, k: int) -> tuple[int, ...]:
     """Independent sets of size exactly k as bitmasks, ascending."""
-    return clique_masks_of_size(_complement_rows(g), g.n, k)
+    return clique_masks_of_size(complement(g).adj, g.n, k)
 
 
 def alpha_within(rows: Sequence[int], allowed: int, target: int | None = None) -> int:
@@ -219,6 +218,7 @@ def alpha_within(rows: Sequence[int], allowed: int, target: int | None = None) -
     return best
 
 
+@lru_cache(maxsize=1)
 def independence_number(g: Graph) -> int:
     """Size of a maximum independent set (`alpha_within` on every vertex)."""
     return alpha_within(g.adj, (1 << g.n) - 1)
@@ -276,8 +276,7 @@ def profile(g: Graph) -> IndependenceProfile:
     )
 
 
-TABLE_BUILDERS = (
-    maximal_clique_masks, independent_set_masks, clique_masks_of_size, profile)
+TABLE_BUILDERS = (maximal_clique_masks, clique_masks_of_size, profile)
 
 
 def fiber(g: Graph, s: VertexSet) -> VertexSet:

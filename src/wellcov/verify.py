@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 from .bitset import VertexSet
 from .catalog import catalog_size, labeled_graphs
@@ -52,11 +52,22 @@ from .wp import (
 Progress = Callable[[int, int, int], None]
 
 
-def _record(g: Graph, check: str, detail: str, p: int | None = None) -> dict:
-    rec = {"check": check, "graph6": encode(g), "n": g.n}
+def _record(
+    g: Graph, check: str, detail: str, p: int | None = None,
+    witnesses: Mapping[str, dict] | None = None,
+) -> dict:
+    """One discrepancy record.  A record at a level p carries the
+    one-line command that reports on the graph at that p; graph6 uses
+    no quote character, so single quotes keep it literal."""
+    g6 = encode(g)
+    rec = {"check": check, "graph6": g6, "n": g.n}
     if p is not None:
         rec["p"] = p
     rec["detail"] = detail
+    if p is not None:
+        rec["repro"] = f"wellcov analyze '{g6}' --p {p}"
+    if witnesses is not None:
+        rec["witnesses"] = dict(witnesses)
     return rec
 
 
@@ -100,7 +111,8 @@ def equivalence_discrepancies(
         if not rep.all_equal:
             out.append(_record(
                 g, "conditions",
-                f"a={rep.cond_a} b={rep.cond_b} c={rep.cond_c} d={rep.cond_d}", p))
+                f"a={rep.cond_a} b={rep.cond_b} c={rep.cond_c} d={rep.cond_d}", p,
+                rep.witnesses))
     return out
 
 

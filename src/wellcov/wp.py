@@ -41,10 +41,15 @@ The sharing rule, precisely:
     `w_index` per graph, instead of calling `is_in_wp_ridge` at each p.
     The complement-side specializations `alpha2_check` and
     `alpha3_check` are levels too, so only the oracle runs per p.
+  * The oracle's own superset table does not depend on p either: one
+    oracle front builds it once per graph for all the p values asked
+    and runs only the family search at each p.
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
-  * Caches sit only on the shared enumeration primitives (the table
-    builders of `independence`); no verdict is cached.
+  * Caches sit only on shared primitives: the table builders of
+    `independence`, `graphs.complement` and `independence_number`, one
+    entry each.  No verdict is cached, and the oracle's superset table
+    lives only for one call of its front.
 """
 
 from __future__ import annotations
@@ -74,9 +79,32 @@ class OracleSizeError(ValueError):
     """The exhaustive oracle was asked for a graph above its cap."""
 
 
-def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
+def _superset_table(g: Graph) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], int | None]:
+    """The oracle's p-independent half: every independent set as `ind`,
+    the table `sup` of the maximum sets containing each, and the first
+    set in `ind` order that no maximum set contains, or None.
+
+    `sup` is filled in `ind` order and stops at that set, which alone is
+    unextendable at every p, so no family search runs when it exists.
+    """
+    ind = independent_set_masks(g)
+    mis = maximal_independent_set_masks(g)
+    alpha = max(m.bit_count() for m in mis)
+    omega = tuple(m for m in mis if m.bit_count() == alpha)
+    sup = {}
+    for a in ind:
+        sup[a] = tuple(m for m in omega if m & a == a)
+        if not sup[a]:
+            return ind, sup, a
+    return ind, sup, None
+
+
+def _family_search(
+    ind: tuple[int, ...], sup: dict[int, tuple[int, ...]], p: int
+) -> tuple[int, ...] | None:
     """First pairwise disjoint p-tuple of independent sets (as masks)
     with no disjoint extension to maximum independent sets, else None.
+    `ind` and `sup` come from `_superset_table`, with every set in `sup`.
 
     The definition does not depend on the order of the p sets: permuting
     a family permutes its extensions.  So every unordered family is
@@ -92,21 +120,8 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
     contains a, so a leaf whose list is nonempty is dominated and
     extends without a fresh search.  A fresh extension dominates every
     prefix of the family it was found for, so it joins the list of every
-    depth of the current path.  The superset table `sup` is filled in
-    `ind` order up to the first set that no maximum set contains, which
-    alone is unextendable.
+    depth of the current path.
     """
-    ind = independent_set_masks(g)
-    mis = maximal_independent_set_masks(g)
-    alpha = max(m.bit_count() for m in mis)
-    omega = tuple(m for m in mis if m.bit_count() == alpha)
-    sup = {}
-    for a in ind:
-        sup[a] = tuple(m for m in omega if m & a == a)
-        if not sup[a]:
-            # a alone cannot reach maximum size, so pad with empty slots
-            return (a,) + (0,) * (p - 1)
-
     lives: list[list[tuple[int, ...]]] = [[] for _ in range(p + 1)]
     family = [0] * p
 
@@ -150,37 +165,50 @@ def _unextendable_family(g: Graph, p: int) -> tuple[int, ...] | None:
     return search(0, 0, 0)
 
 
-def _oracle(g: Graph, p: int, allow_large: bool) -> tuple[int, ...] | None:
-    """The oracle's one front for both public entry points: argument
-    checks and the size guard, then the unextendable family as masks,
-    or None when g is in W_p.  Neither entry point calls the other, so
-    each public call is exactly one oracle run.
+def _oracle(
+    g: Graph, p_values: Iterable[int], allow_large: bool
+) -> dict[int, tuple[int, ...] | None]:
+    """The oracle's one front for the public entry points and the
+    theorem report: argument checks and the size guard, then for each
+    p the unextendable family as masks, or None when g is in W_p.  The
+    superset table is built once for all the p values, and every p runs
+    its own family search on it.
 
     With fewer than p vertices the all-empty family already fails, since
     p pairwise disjoint nonempty maximum sets cannot fit.
     """
-    if p < 1:
+    p_values = tuple(p_values)
+    if any(p < 1 for p in p_values):
         raise ValueError("p must be at least 1")
-    if g.n > ORACLE_VERTEX_LIMIT and not allow_large:
+    if p_values and g.n > ORACLE_VERTEX_LIMIT and not allow_large:
         raise OracleSizeError(
             f"oracle capped at {ORACLE_VERTEX_LIMIT} vertices; got {g.n} "
             "(pass allow_large to override)"
         )
-    if g.n < p:
-        return (0,) * p
-    return _unextendable_family(g, p)
+    out: dict[int, tuple[int, ...] | None] = {}
+    table = None
+    for p in p_values:
+        if g.n < p:
+            out[p] = (0,) * p
+            continue
+        if table is None:
+            table = _superset_table(g)
+        ind, sup, lone = table
+        # a set in no maximum set fails alone, so pad with empty slots
+        out[p] = (lone,) + (0,) * (p - 1) if lone is not None else _family_search(ind, sup, p)
+    return out
 
 
 def is_in_wp_oracle(g: Graph, p: int, *, allow_large: bool = False) -> bool:
     """Definition-level membership test by exhaustive tuple extension."""
-    return _oracle(g, p, allow_large) is None
+    return _oracle(g, (p,), allow_large)[p] is None
 
 
 def wp_oracle_counterexample(
     g: Graph, p: int, *, allow_large: bool = False
 ) -> tuple[VertexSet, ...] | None:
     """An unextendable disjoint family witnessing non-membership."""
-    bad = _oracle(g, p, allow_large)
+    bad = _oracle(g, (p,), allow_large)[p]
     if bad is None:
         return None
     return tuple(VertexSet(g.n, m) for m in bad)
@@ -336,12 +364,12 @@ class TheoremReport:
 
 
 def _cond_a(
-    bad: tuple[VertexSet, ...] | None, loose: tuple[int, int] | None
+    n: int, bad: tuple[int, ...] | None, loose: tuple[int, int] | None
 ) -> tuple[bool, dict | None]:
     if bad is not None:
         return False, {
             "kind": "unextendable_family",
-            "sets": [s.to_tuple() for s in bad],
+            "sets": [VertexSet(n, m).to_tuple() for m in bad],
         }
     if loose is not None:
         return False, {"kind": "non_critical_edge", "edge": loose}
@@ -407,16 +435,17 @@ def theorem_reports(
     g: Graph, p_values: Iterable[int], *, allow_large: bool = False
 ) -> dict[int, TheoremReport]:
     """The theorem report at each p: the levels of conditions (b)-(d)
-    are computed once, the oracle once per p, and the criticality half
-    of condition (a) once, when some p passes the oracle."""
+    are computed once, the oracle's superset table once and its family
+    search once per p, and the criticality half of condition (a) once,
+    when some p passes the oracle."""
     # the oracle runs first, so its argument and size checks fail fast
-    bad = {p: wp_oracle_counterexample(g, p, allow_large=allow_large) for p in p_values}
+    bad = _oracle(g, p_values, allow_large)
     loose = non_critical_edge(g) if None in bad.values() else None
     r = independence_number(g)
     levels = {"cond_b": _cond_b(g, profile(g)), "cond_c": _cond_c(g), "cond_d": _cond_d(g, r)}
     reports = {}
     for p, family in bad.items():
-        a, wa = _cond_a(family, loose)
+        a, wa = _cond_a(g.n, family, loose)
         witnesses = {} if wa is None else {"cond_a": wa}
         witnesses.update((name, w) for name, (level, w) in levels.items() if level < p)
         flags = {name: level >= p for name, (level, _) in levels.items()}

@@ -1,13 +1,14 @@
 import pytest
 
 from wellcov import Graph, generate
-from wellcov.independence import TABLE_BUILDERS
+from wellcov.graphs import complement
+from wellcov.independence import TABLE_BUILDERS, independence_number
 
 
 @pytest.fixture(autouse=True)
 def fresh_table_caches():
-    # no test reads a table that an earlier test left in a builder's cache
-    for builder in TABLE_BUILDERS:
+    # no test reads a value that an earlier test left in a cache
+    for builder in (*TABLE_BUILDERS, complement, independence_number):
         builder.cache_clear()
 
 

@@ -176,8 +176,7 @@ class TestScan:
         body = json.loads(out)
         assert body["graphs_checked"] == 64
         assert set(body["table_cache"]) == {
-            "maximal_clique_masks", "independent_set_masks",
-            "clique_masks_of_size", "profile"}
+            "maximal_clique_masks", "clique_masks_of_size", "profile"}
         for counts in body["table_cache"].values():
             assert counts["misses"] == body["graphs_checked"]
             assert counts["hits"] > 0

@@ -4,23 +4,27 @@ The full n = 6 sweep is exercised by the acceptance suite; here the
 machinery itself is checked at n <= 4 where a run takes milliseconds.
 """
 
+import json
+import shlex
 import sys
 
 import pytest
 
 from wellcov import (
     codec_suite,
+    complement,
     corollary_discrepancies,
     encode,
     equivalence_discrepancies,
     examples_suite,
     generate,
+    independence_number,
     is_in_wp_localization,
     run_suite,
     sweep_catalog,
     theorem_reports,
 )
-from wellcov import independence, saturation
+from wellcov import cli, independence, saturation
 from wellcov.catalog import labeled_graphs
 from wellcov.verify import catalog_suite
 
@@ -43,7 +47,28 @@ class TestPerGraphChecks:
         assert recs == [{
             "check": "deciders", "graph6": encode(c5), "n": 5, "p": 1,
             "detail": "oracle=True ridge=True localization=False",
+            "repro": f"wellcov analyze '{encode(c5)}' --p 1",
         }]
+
+    def test_conditions_records_carry_witnesses_and_repro(self, c5, monkeypatch, capsys):
+        monkeypatch.setattr("wellcov.wp._cond_d", lambda g, r: (0, {"kind": "forced"}))
+        [rec] = equivalence_discrepancies(c5, (1,))
+        assert list(rec) == ["check", "graph6", "n", "p", "detail", "repro", "witnesses"]
+        assert rec["check"] == "conditions"
+        assert rec["witnesses"] == dict(theorem_reports(c5, (1,))[1].witnesses)
+        assert rec["witnesses"] == {"cond_d": {"kind": "forced"}}
+        # the repro is one shell line that the console script runs as is
+        words = shlex.split(rec["repro"])
+        assert words[:2] == ["wellcov", "analyze"]
+        assert cli.main(words[1:]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["input"]["graph6"] == rec["graph6"]
+        assert [row["p"] for row in report["membership"]] == [1]
+
+    def test_records_without_p_carry_no_repro(self, c5, monkeypatch):
+        monkeypatch.setattr("wellcov.verify.is_alpha_critical_direct", lambda g: False)
+        [rec] = corollary_discrepancies(c5, (1,))
+        assert list(rec) == ["check", "graph6", "n", "detail"]
 
     def test_one_shot_p_values_reach_every_decider_check(self, c5, monkeypatch):
         flip_localization(monkeypatch)
@@ -118,7 +143,7 @@ class TestSweep:
         assert len(records) == 11 * 3
         assert sweep.discrepancies("deciders") == records
         assert sweep.discrepancies("conditions", "codec") == []
-        assert all(list(rec) == ["check", "graph6", "n", "p", "detail"]
+        assert all(list(rec) == ["check", "graph6", "n", "p", "detail", "repro"]
                    for rec in records)
         # a one-shot p_values reaches every graph, not only the first
         assert sweep_catalog(3, iter((1, 2, 3))).discrepancies() == records
@@ -135,6 +160,10 @@ class TestSweep:
         assert (4, 1, 4) not in sweep.find_hits
 
 
+# shared values that carry a one-entry cache without being tables
+SHARED_CACHES = (complement, independence_number)
+
+
 class TestTableCache:
     def test_uncached_builders_give_the_same_sweep(self, monkeypatch):
         p_values = (1, 2, 3)
@@ -142,7 +171,8 @@ class TestTableCache:
         cached = sweep_catalog(5, p_values)
         cached_reports = [theorem_reports(g, p_values) for g in graphs]
 
-        for builder in independence.TABLE_BUILDERS:
+        caches = (*independence.TABLE_BUILDERS, *SHARED_CACHES)
+        for builder in caches:
             name = builder.__name__
             holders = [mod for modname, mod in sys.modules.items()
                        if modname.startswith("wellcov.")
@@ -150,11 +180,11 @@ class TestTableCache:
             assert holders
             for mod in holders:
                 monkeypatch.setattr(mod, name, builder.__wrapped__)
-        before = [b.cache_info() for b in independence.TABLE_BUILDERS]
+        before = [b.cache_info() for b in caches]
         plain = sweep_catalog(5, p_values)
         plain_reports = [theorem_reports(g, p_values) for g in graphs]
         # the second run never went through a cache
-        assert [b.cache_info() for b in independence.TABLE_BUILDERS] == before
+        assert [b.cache_info() for b in caches] == before
 
         assert plain.graphs_checked == cached.graphs_checked == len(graphs)
         assert plain.records == cached.records
@@ -172,6 +202,56 @@ class TestTableCache:
             assert info.misses - start.misses == sweep.graphs_checked, builder.__name__
             assert info.maxsize == 1
             assert info.currsize <= 1
+
+    def test_oracle_enumerates_independent_sets_once_per_graph(self, monkeypatch):
+        # the oracle's superset table serves every p of a graph, so the
+        # uncached enumeration runs once per graph
+        calls = []
+        original = independence.independent_set_masks
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+        holders = [mod for name, mod in sys.modules.items()
+                   if name.startswith("wellcov.")
+                   and getattr(mod, "independent_set_masks", None) is original]
+        assert holders
+        for mod in holders:
+            monkeypatch.setattr(mod, "independent_set_masks", counting)
+        sweep = sweep_catalog(5)
+        assert len(calls) == sweep.graphs_checked == 1099
+
+    def test_shared_values_miss_once_per_graph_and_side(self):
+        # a graph's complement and alpha are computed once per graph.  The
+        # complement h then asks for its own complement in the bound
+        # report, when condition (a) holds at some p, and for its own
+        # alpha in the Gorenstein complement route, when the graph has no
+        # isolated vertex and h's maximal cliques all have alpha(g)
+        # vertices.  Replaying those keys through a one-entry cache gives
+        # the exact misses: a key equal to the one before hits, as K1 and
+        # its complement do, or 2K1 followed in the catalog by K2
+        before = [c.cache_info() for c in SHARED_CACHES]
+        sweep = sweep_catalog(5)
+        after = [c.cache_info() for c in SHARED_CACHES]
+        complement_keys, alpha_keys = [], []
+        for g in (g for n in range(1, 6) for g in labeled_graphs(n)):
+            h = complement(g)
+            reports = theorem_reports(g, sweep.p_values)
+            complement_keys.append(g)
+            if any(rep.cond_a for rep in reports.values()):
+                complement_keys.append(h)
+            alpha_keys.append(g)
+            if all(g.adj) and saturation.maximal_clique_sizes_uniform(h) == (
+                    True, independence_number(g)):
+                alpha_keys.append(h)
+
+        def one_entry_misses(keys):
+            return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
+        misses = [a.misses - b.misses for a, b in zip(after, before)]
+        assert misses == [one_entry_misses(complement_keys), one_entry_misses(alpha_keys)]
+        # 1,099 graphs, 87 reaching the bound report, 254 asking alpha(h)
+        assert misses == [1099 + 87 - 2, 1099 + 254]
+        assert all(info.maxsize == 1 for info in after)
 
 
 class TestSuites:

@@ -2,8 +2,8 @@
 
 The three deciders are cross-checked on the full n <= 5 catalog here at
 every level up to n + 1, and the oracle against a naive ordered-tuple
-reference at p <= 3, which also pins the exact family the oracle
-returns; the complete n = 6 run belongs to the acceptance suite.  The
+reference at p <= 3; a naive first-family reference pins the exact
+family the oracle returns at every level up to n + 1; the complete n = 6 run belongs to the acceptance suite.  The
 row-level deletion and localization routes are checked against their
 versions on built graphs (`delete_edge`, `induced_subgraph`) on the
 n <= 6 catalog, and held to building no graph at all.
@@ -65,13 +65,40 @@ class TestDeciders:
                 assert is_in_wp_oracle(g, p) == _naive.is_in_wp(g, p)
 
     def test_oracle_returns_the_first_unextendable_family_n5(self):
-        # the same family, not only some unextendable one
+        # the same family, not only some unextendable one, at every
+        # level: from the single-level entry, from the front that builds
+        # one superset table for all levels, and as condition (a)'s
+        # witness in the theorem report
         for g in small_catalog(5):
-            for p in (1, 2, 3):
+            levels = range(1, g.n + 2)
+            fronts = wp._oracle(g, levels, False)
+            reports = theorem_reports(g, levels)
+            assert list(fronts) == list(reports) == list(levels)
+            for p in levels:
+                expected = _naive.first_unextendable(g, p)
                 witness = wp_oracle_counterexample(g, p)
                 family = None if witness is None else tuple(
                     part.to_tuple() for part in witness)
-                assert family == _naive.first_unextendable(g, p)
+                assert family == expected
+                assert fronts[p] == (None if witness is None else tuple(
+                    part.bits for part in witness))
+                named = reports[p].witnesses.get("cond_a", {})
+                if expected is None:
+                    assert named.get("kind") != "unextendable_family"
+                else:
+                    assert named == {"kind": "unextendable_family", "sets": list(expected)}
+
+    def test_oracle_front_checks_before_any_table(self, monkeypatch):
+        def no_table(g):
+            raise AssertionError("table built before the argument checks")
+        monkeypatch.setattr(wp, "_superset_table", no_table)
+        with pytest.raises(ValueError, match="at least 1"):
+            wp._oracle(generate("cycle:n=11").graph, (1, 0), False)
+        with pytest.raises(OracleSizeError):
+            wp._oracle(generate("cycle:n=11").graph, (1, 2), False)
+        # below p vertices the all-empty family needs no table either
+        assert wp._oracle(generate("complete:n=2").graph, (3, 4), False) == {
+            3: (0, 0, 0), 4: (0, 0, 0, 0)}
 
     def test_membership_is_downward_monotone(self):
         for g in small_catalog(5):
@@ -125,7 +152,10 @@ class TestDeciders:
 
 
 def oracle_frames(g: Graph, p: int) -> int:
-    """Python frames opened in the oracle's module by one family search."""
+    """Python frames opened in the oracle's module by one family search,
+    on a superset table built beforehand."""
+    ind, sup, lone = wp._superset_table(g)
+    assert lone is None
     calls = 0
 
     def count(frame, event, arg):
@@ -134,7 +164,7 @@ def oracle_frames(g: Graph, p: int) -> int:
             calls += 1
     sys.setprofile(count)
     try:
-        wp._unextendable_family(g, p)
+        wp._family_search(ind, sup, p)
     finally:
         sys.setprofile(None)
     return calls
