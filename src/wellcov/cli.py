@@ -23,6 +23,7 @@ from .graphs import Graph, complement
 from .independence import TABLE_BUILDERS, independence_number, is_well_covered
 from .saturation import (
     bound_report,
+    clique_union_shape,
     is_kt_saturated,
     maximal_clique_sizes_uniform,
     min_clique_codegree,
@@ -134,8 +135,9 @@ def _analysis_report(
     }
 
     bounds = []
+    shape = clique_union_shape(g)
     for p in p_values:
-        br = bound_report(h, alpha, p)
+        br = bound_report(h, alpha, p, shape)
         bounds.append({
             "p": p,
             "r": br.r,

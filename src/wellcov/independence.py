@@ -11,12 +11,18 @@ One enumeration engine serves both sides of complementation: maximal
 independent sets are the maximal cliques of the complement, found by
 pivoting branch-and-bound on bitmask rows, and independent sets of a
 fixed size are the cliques of that size in the complement.
-`maximal_clique_masks` and `clique_masks_of_size` take bitmask rows, so
-the clique side of `saturation` calls them directly on a graph's own
-rows.  `maximal_clique_masks` is the one cached facet producer: the
-facets of g and the maximal cliques of complement(g) are one table,
-read by `maximal_independent_set_masks(g)` and by
-`saturation.maximal_clique_sizes_uniform(complement(g))` alike.
+`maximal_clique_masks` takes bitmask rows, so the clique side of
+`saturation` calls it directly on a graph's own rows.  It is the one
+facet producer: the facets of g and the maximal cliques of
+complement(g) are one table, read by `maximal_independent_set_masks(g)`
+and by `saturation.maximal_clique_sizes_uniform(complement(g))` alike.
+
+`profile` does not read a fixed-size table: it grows the ridges on g's
+own rows and carries the vertices outside each set's closed
+neighbourhood down the recursion, so each leaf is a ridge with its
+fiber.  The minimum clique codegree and condition (c) of the theorem
+report run enumerations of their own, so the W-index and its dual share
+none.
 
 `alpha_within` is the alpha kernel.  It works on bitmask rows and a
 mask of allowed vertices, so the criticality and recursion routes ask
@@ -32,15 +38,16 @@ families of the theorem, then resolve with little or no branching.
 
 The builders in `TABLE_BUILDERS` cache one entry each, the table of the
 last graph asked.  Tables are immutable and depend only on `(n, adj)`
-or on `(rows, n)`, plus the size for `clique_masks_of_size`.  A graph
-job asks the two row builders about its complement's rows only: for
-the maximal cliques, and for the cliques of size alpha - 1.  The
-routes checking one graph ask back to back and the next graph evicts
-the entry, so one entry per builder covers a graph's job.  Two shared
-values carry the same one-entry cache without being tables:
-`graphs.complement`, whose rows those builders read, and
-`independence_number`, which several routes ask of the same graph.
-`independent_set_masks` is not cached: the oracle reads it once per
+or on `(rows, n)`.  A graph job asks `maximal_clique_masks` about its
+complement's rows only, and `profile` about g itself.  The routes checking
+one graph ask back to back and the next graph evicts the entry, so one
+entry per builder covers a graph's job.  Three shared values carry the
+same one-entry cache without being tables: `graphs.complement`, whose
+rows the facet table reads, `independence_number`, which several
+routes ask of the same graph, and `saturation.min_clique_codegree`,
+which three routes ask of the same complement.
+`clique_masks_of_size` and `independent_set_masks` are not cached: no
+graph job asks the first, and the oracle reads the second once per
 graph, into a superset table that it keeps across p itself.
 """
 
@@ -95,14 +102,9 @@ def maximal_clique_masks(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
-def clique_masks_of_size(rows: tuple[int, ...], n: int, k: int) -> tuple[int, ...]:
+def clique_masks_of_size(rows: Sequence[int], n: int, k: int) -> tuple[int, ...]:
     """All cliques of size exactly k of the graph given by bitmask rows,
-    as masks, ascending.
-
-    Cached on its arguments, so the rows must be a tuple: `profile`
-    asks for g's independent sets of size alpha - 1, and the codegree
-    condition for the same (alpha - 1)-cliques of g's complement."""
+    as masks, ascending."""
     if k == 0:
         return (0,)
     out: list[int] = []
@@ -250,33 +252,64 @@ class IndependenceProfile:
         return min(f.bit_count() for f in self.fibers)
 
 
+def _grow_ridges(
+    rows: tuple[int, ...], ridge: int, free: int, below: int, need: int,
+    ridges: list[int], fibers: list[int],
+) -> None:
+    """Append every independent set that adds need vertices of below to
+    ridge, highest vertex first, with the vertices outside its closed
+    neighbourhood.  free: the vertices outside ridge's closed
+    neighbourhood; below: those under ridge's lowest vertex.
+
+    A module-level function, not a closure: a closure that calls itself
+    is a reference cycle, which would keep both lists alive until the
+    cyclic collector runs."""
+    if need == 1:
+        while below:
+            low = below & -below
+            below ^= low
+            ridges.append(ridge | low)
+            fibers.append(free & ~rows[low.bit_length() - 1] & ~low)
+        return
+    # the need - 1 lowest of below can only be picked further down
+    for _ in range(need - 1):
+        below &= below - 1
+    while below:
+        low = below & -below
+        below ^= low
+        rest = free & ~rows[low.bit_length() - 1] & ~low
+        _grow_ridges(rows, ridge | low, rest, rest & (low - 1), need - 1, ridges, fibers)
+
+
 @lru_cache(maxsize=1)
 def profile(g: Graph) -> IndependenceProfile:
-    """Facets, purity, and every ridge with its fiber, in colex order."""
+    """Facets, purity, and every ridge with its fiber, in colex order.
+
+    The ridges are enumerated on g's own rows, highest vertex first and
+    each level ascending, which is colex order with no sort.  Each node
+    carries the vertices outside its set's closed neighbourhood: that
+    mask is both the candidates left below the last vertex and, at a
+    leaf, the ridge's fiber, so a ridge costs one step at its leaf.
+    """
     facets = maximal_independent_set_masks(g)
     alpha = max(m.bit_count() for m in facets)
     full = (1 << g.n) - 1
-    rows = g.adj
-    ridges = independent_masks_of_size(g, alpha - 1)
-    fibers = []
-    for s in ridges:
-        closed = s
-        bits = s
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            closed |= rows[low.bit_length() - 1]
-        fibers.append(full & ~closed)
+    if alpha == 1:
+        # the one empty ridge; every vertex completes it
+        ridges, fibers = [0], [full]
+    else:
+        ridges, fibers = [], []
+        _grow_ridges(g.adj, 0, full, full, alpha - 1, ridges, fibers)
     return IndependenceProfile(
         alpha=alpha,
         facets=facets,
         is_pure=all(m.bit_count() == alpha for m in facets),
-        ridges=ridges,
+        ridges=tuple(ridges),
         fibers=tuple(fibers),
     )
 
 
-TABLE_BUILDERS = (maximal_clique_masks, clique_masks_of_size, profile)
+TABLE_BUILDERS = (maximal_clique_masks, profile)
 
 
 def fiber(g: Graph, s: VertexSet) -> VertexSet:

@@ -12,11 +12,12 @@ graphs the deciders accept, all in exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .bitset import VertexSet
-from .graphs import Graph, complement, connected_components
-from .independence import clique_masks_of_size, maximal_clique_masks
+from .graphs import Graph, connected_components
+from .independence import maximal_clique_masks
 
 HYPOTHESIS_UNMET = "hypothesis_unmet"
 HOLDS = "holds"
@@ -86,28 +87,46 @@ def clique_codegree(h: Graph, q: VertexSet) -> int:
     return (common & ~q.bits).bit_count()
 
 
+@lru_cache(maxsize=1)
 def min_clique_codegree(h: Graph, r: int) -> int:
-    """Minimum codegree over all (r-1)-cliques; n when r = 1."""
+    """Minimum codegree over all (r-1)-cliques; n when r = 1.
+
+    The cliques are grown on h's rows, lowest vertex first, and each
+    node carries its clique's common neighbourhood, so a clique's
+    codegree costs one step at its leaf.  Cached on (h, r), one entry:
+    condition (d), the W-index duality and the Gorenstein complement
+    route ask it of the same complement."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    rows = h.adj
+    if r == 1:
+        return h.n
     full = (1 << h.n) - 1
-    cliques = clique_masks_of_size(rows, h.n, r - 1)
-    if not cliques:
+    # h.n + 1 is above any codegree, so it survives only when no clique exists
+    best = _min_codegree(h.adj, full, full, r - 1, h.n + 1)
+    if best > h.n:
         raise ValueError(f"no cliques of size {r - 1}")
-    best = h.n
-    for m in cliques:
-        common = full
-        bits = m
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            common &= rows[low.bit_length() - 1]
-        # h has no loops, so no member is in its own row and the common
-        # neighbourhood of a clique already excludes the clique
-        codegree = common.bit_count()
-        if codegree < best:
-            best = codegree
+    return best
+
+
+def _min_codegree(rows: tuple[int, ...], common: int, above: int, need: int, best: int) -> int:
+    """The least of best and the codegrees of the cliques that add need
+    vertices of above to a clique with common neighbourhood common;
+    above holds the common neighbours over that clique's highest vertex.
+    The rows have no loops, so no member is in its own row and the
+    common neighbourhood of a clique already excludes the clique."""
+    if need == 1:
+        while above:
+            low = above & -above
+            above ^= low
+            codegree = (common & rows[low.bit_length() - 1]).bit_count()
+            if codegree < best:
+                best = codegree
+        return best
+    while above.bit_count() >= need:
+        low = above & -above
+        above ^= low
+        row = rows[low.bit_length() - 1]
+        best = _min_codegree(rows, common & row, above & row, need - 1, best)
     return best
 
 
@@ -207,7 +226,12 @@ class BoundReport:
         return shape is not None and len(shape) == self.r and all(s == self.p for s in shape)
 
 
-def bound_report(h: Graph, r: int, p: int) -> BoundReport:
+def bound_report(
+    h: Graph, r: int, p: int, complement_clique_sizes: tuple[int, ...] | None
+) -> BoundReport:
+    """The bound data of the complement h at (r, p).  The caller passes
+    `clique_union_shape` of g, the graph h is the complement of, which
+    depends on neither r nor p."""
     if r < 1 or p < 1:
         raise ValueError("r and p must be at least 1")
     universal = None
@@ -226,5 +250,5 @@ def bound_report(h: Graph, r: int, p: int) -> BoundReport:
         min_degree=min(h.degree(v) for v in range(h.n)),
         min_degree_bound=p * (r - 1),
         universal_vertex=universal,
-        complement_clique_sizes=clique_union_shape(complement(h)),
+        complement_clique_sizes=complement_clique_sizes,
     )

@@ -152,9 +152,11 @@ def corollary_discrepancies(
             f"w2={gor.triangle_free_w2} fibers={gor.fiber_route} "
             f"complement={gor.complement_route}"))
 
-    # the specializations are levels, read once per graph
+    # the specializations are levels, read once per graph, and so is
+    # the shape the bound report reads off g
     level2 = alpha2_check(h)
     level3 = alpha3_check(h)
+    shape = clique_union_shape(g) if any(rep.cond_a for rep in reports.values()) else None
     for p in p_values:
         rep = reports[p]
         lhs2 = level2 >= p
@@ -168,7 +170,7 @@ def corollary_discrepancies(
             out.append(_record(
                 g, "alpha3", f"complement_side={lhs3} theorem_side={rhs3}", p))
         if rep.cond_a:
-            br = bound_report(h, r, p)
+            br = bound_report(h, r, p, shape)
             if not (br.edge_bounds_ok and br.min_degree_ok and br.universal_vertex_ok):
                 out.append(_record(
                     g, "bounds",
@@ -350,7 +352,7 @@ def _petersen_complement_checks() -> list[tuple[str, bool]]:
     checks.append(("localizations_not_in_w2", all(e.in_lower_class is False for e in scan3)))
     checks.append(("localizations_in_w1", all(e.in_lower_class is True for e in scan2)))
 
-    br = bound_report(petersen, 2, 3)
+    br = bound_report(petersen, 2, 3, clique_union_shape(g))
     checks.append(("bound_saturation", br.saturation_edge_bound == 9))
     checks.append(("bound_codegree", br.codegree_edge_bound == 15))
     checks.append(("bound_edges", br.edge_count == 15))

@@ -46,10 +46,15 @@ The sharing rule, precisely:
     and runs only the family search at each p.
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
-  * Caches sit only on shared primitives: the table builders of
-    `independence`, `graphs.complement` and `independence_number`, one
-    entry each.  No verdict is cached, and the oracle's superset table
-    lives only for one call of its front.
+  * Caches sit only on shared primitives, one entry each: the table
+    builders of `independence` (the facet table and `profile`),
+    `graphs.complement`, `independence_number` and
+    `saturation.min_clique_codegree`.  No verdict is cached, and the
+    oracle's superset table lives only for one call of its front.
+  * The two sides of the W-index duality enumerate apart: `profile`
+    grows ridges on g's rows, `min_clique_codegree` grows cliques on
+    the complement's rows, and condition (c) reads its fibers off the
+    facet table.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ from .independence import (
     IndependenceProfile,
     alpha_within,
     independence_number,
-    independent_masks_of_size,
     independent_set_masks,
     maximal_independent_set_masks,
     profile,
@@ -399,21 +403,35 @@ def _cond_c(g: Graph) -> tuple[int, dict]:
                 "kind": "not_well_covered",
                 "maximal_set": VertexSet(g.n, m).to_tuple(),
             }
-    omega = set(mis)
-    covered = 0
-    fibers = {}
-    for s in independent_masks_of_size(g, alpha - 1):
-        members = fibers[s] = [
-            x for x in range(g.n) if not s >> x & 1 and (s | 1 << x) in omega]
-        for i, x in enumerate(members):
-            for y in members[i + 1:]:
-                covered |= 1 << (x * g.n + y)
+    # the complex is pure, so every ridge is a maximum set less one
+    # vertex x, and x is in its fiber: each membership in the
+    # maximum-set table puts one vertex into one fiber
+    fibers: dict[int, int] = {}
+    for m in mis:
+        bits = m
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            s = m ^ low
+            fibers[s] = fibers.get(s, 0) | low
+    # covered[x]: the vertices sharing some fiber with x
+    covered = [0] * g.n
+    for f in fibers.values():
+        bits = f
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            covered[low.bit_length() - 1] |= f
     for u, v in g.edges():
-        if not covered >> (u * g.n + v) & 1:
+        if not covered[u] >> v & 1:
             return 0, {"kind": "uncovered_edge", "edge": (u, v)}
-    thin = min(fibers, key=lambda s: len(fibers[s]))
-    ridge, fiber = VertexSet(g.n, thin).to_tuple(), fibers[thin]
-    return len(fiber), {"kind": "thin_fiber", "ridge": ridge, "fiber": fiber}
+    thin = min(fibers, key=lambda s: (fibers[s].bit_count(), s))
+    fiber = VertexSet(g.n, fibers[thin]).to_tuple()
+    return len(fiber), {
+        "kind": "thin_fiber",
+        "ridge": VertexSet(g.n, thin).to_tuple(),
+        "fiber": list(fiber),
+    }
 
 
 def _cond_d(g: Graph, r: int) -> tuple[int, dict]:

@@ -1,9 +1,11 @@
 """Slow reference implementations used only by tests.
 
-Everything here enumerates subsets with itertools and touches graphs
-only through has_edge, sharing no logic with the package internals.  A
-bug would have to appear in both routes to slip through a cross-check.
-Usable up to a dozen vertices or so.
+Everything here enumerates subsets with itertools, or grows them one
+vertex at a time, and touches graphs only through has_edge, sharing no
+logic with the package internals.  A bug would have to appear in both
+routes to slip through a cross-check.  The itertools references are
+usable up to a dozen vertices or so; the grown ones reach the family
+graphs of a few dozen vertices whose independent sets are few.
 """
 
 from itertools import combinations, combinations_with_replacement, product
@@ -36,6 +38,39 @@ def alpha(g: Graph) -> int:
 def is_well_covered(g: Graph) -> bool:
     a = alpha(g)
     return all(len(s) == a for s in maximal_independent_sets(g))
+
+
+def independent_sets_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
+    """levels[k]: the independent sets of k vertices, in lexicographic
+    order, for k = 0..alpha.  Each level extends the one before by a
+    vertex above the set's largest, since dropping the largest vertex of
+    an independent set leaves an independent set."""
+    levels = [[()]]
+    while True:
+        grown = [vs + (x,) for vs in levels[-1] for x in range(vs[-1] + 1 if vs else 0, g.n)
+                 if all(not g.has_edge(x, v) for v in vs)]
+        if not grown:
+            return levels
+        levels.append(grown)
+
+
+def ridge_table(g: Graph) -> tuple[bool, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """(well-covered, every ridge with its fiber), the ridges in mask
+    order: the table of independent sets of alpha - 1 vertices, then a
+    loop over the closed neighbourhood of each.  A ridge is one vertex
+    short of alpha, so each vertex outside its closed neighbourhood
+    completes it to a maximum set.  g is well-covered when every
+    independent set below alpha lies in one of a vertex more, so that
+    no maximal set is smaller than alpha."""
+    levels = independent_sets_by_size(g)
+    well_covered = all(
+        set(level) <= {w[:i] + w[i + 1:] for w in above for i in range(len(w))}
+        for level, above in zip(levels, levels[1:]))
+    ridges = sorted(levels[-2], key=lambda vs: sum(1 << v for v in vs))
+    return well_covered, [
+        (vs, tuple(x for x in range(g.n)
+                   if x not in vs and all(not g.has_edge(x, v) for v in vs)))
+        for vs in ridges]
 
 
 def is_clique(g: Graph, vs) -> bool:

@@ -9,3 +9,8 @@ STRUCTURED_SPECS = (
     [f"disjoint_cliques:r={r},p={p}" for r in range(1, 7) for p in (1, 2, 3)]
     + [f"c7_blowup:q={q}" for q in (1, 2, 3, 4)]
     + ["petersen", "petersen_complement"])
+
+# the three graphs `wellcov analyze` is timed on: one bound by the
+# oracle, one by enumeration at n = 28, and 8K3, whose 17,496 ridges
+# are the Moon-Moser extremal case
+ANALYZE_SPECS = ("petersen_complement", "c7_blowup:q=4", "disjoint_cliques:r=8,p=3")

@@ -3,12 +3,13 @@ import pytest
 from wellcov import Graph, generate
 from wellcov.graphs import complement
 from wellcov.independence import TABLE_BUILDERS, independence_number
+from wellcov.saturation import min_clique_codegree
 
 
 @pytest.fixture(autouse=True)
 def fresh_table_caches():
     # no test reads a value that an earlier test left in a cache
-    for builder in (*TABLE_BUILDERS, complement, independence_number):
+    for builder in (*TABLE_BUILDERS, complement, independence_number, min_clique_codegree):
         builder.cache_clear()
 
 

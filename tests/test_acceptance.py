@@ -14,6 +14,7 @@ from wellcov import (
     bound_report,
     clique_union_shape,
     codec_suite,
+    complement,
     decode,
     examples_suite,
     generate,
@@ -109,7 +110,7 @@ def test_criterion_06_w_index_duality(sweep, announce):
 def test_criterion_07_bounds(sweep, announce):
     found = sweep.discrepancies("bounds", "rigidity")
     petersen = generate("petersen").graph
-    br = bound_report(petersen, 2, 3)
+    br = bound_report(petersen, 2, 3, clique_union_shape(complement(petersen)))
     tight = (br.edge_count == 15 and br.codegree_edge_bound == 15
              and br.codegree_edge_bound_tight)
     ok = not found and tight

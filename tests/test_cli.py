@@ -175,8 +175,7 @@ class TestScan:
         assert code == EXIT_OK
         body = json.loads(out)
         assert body["graphs_checked"] == 64
-        assert set(body["table_cache"]) == {
-            "maximal_clique_masks", "clique_masks_of_size", "profile"}
+        assert set(body["table_cache"]) == {"maximal_clique_masks", "profile"}
         for counts in body["table_cache"].values():
             assert counts["misses"] == body["graphs_checked"]
             assert counts["hits"] > 0

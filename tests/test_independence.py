@@ -39,7 +39,7 @@ from wellcov.independence import (
     maximal_independent_set_masks,
 )
 from tests import _naive
-from tests._specs import STRUCTURED_SPECS
+from tests._specs import ANALYZE_SPECS, STRUCTURED_SPECS
 
 
 def small_catalog(max_n: int):
@@ -75,23 +75,15 @@ class TestAgainstNaive:
             assert list(got) == want
 
     def test_profile_matches_naive(self):
-        for g in small_catalog(5):
-            prof = profile(g)
-            alpha = _naive.alpha(g)
-            maximum = {frozenset(s) for s in _naive.maximum_independent_sets(g)}
-            assert prof.alpha == alpha
-            assert sorted(VertexSet(g.n, m).to_tuple() for m in prof.facets) == (
-                _naive.maximal_independent_sets(g))
-            assert prof.is_pure == _naive.is_well_covered(g)
-            assert list(prof.ridges) == sorted(
-                sum(1 << v for v in vs)
-                for vs in _naive.independent_sets(g) if len(vs) == alpha - 1)
-            assert len(prof.fibers) == len(prof.ridges)
-            for s, f in zip(prof.ridges, prof.fibers):
-                ridge = set(VertexSet(g.n, s))
-                want = sum(1 << x for x in range(g.n)
-                           if x not in ridge and frozenset(ridge | {x}) in maximum)
-                assert f == want
+        for g in small_catalog(6):
+            assert_profile_matches_naive(g)
+            if g.n <= 5:
+                assert sorted(VertexSet(g.n, m).to_tuple() for m in profile(g).facets) == (
+                    _naive.maximal_independent_sets(g))
+
+    @pytest.mark.parametrize("spec", ANALYZE_SPECS)
+    def test_profile_matches_naive_on_families(self, spec):
+        assert_profile_matches_naive(generate(spec).graph)
 
     def test_sets_of_fixed_size_match(self):
         for g in small_catalog(4):
@@ -101,6 +93,17 @@ class TestAgainstNaive:
                     sum(1 << v for v in vs)
                     for vs in _naive.independent_sets(g) if len(vs) == k)
                 assert list(got) == want
+
+
+def assert_profile_matches_naive(g: Graph) -> None:
+    """The ridge recursion against the table of independent sets of
+    alpha - 1 vertices and the closed neighbourhood of each."""
+    prof = profile(g)
+    well_covered, table = _naive.ridge_table(g)
+    assert prof.alpha == len(table[0][0]) + 1
+    assert prof.is_pure == well_covered
+    assert list(prof.ridges) == [sum(1 << v for v in vs) for vs, _ in table]
+    assert list(prof.fibers) == [sum(1 << x for x in fiber) for _, fiber in table]
 
 
 def alpha_by_facets(g: Graph) -> int:

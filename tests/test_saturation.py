@@ -29,8 +29,8 @@ from wellcov import (
     min_clique_codegree,
 )
 from wellcov.catalog import labeled_graphs
-from wellcov.independence import clique_masks_of_size
 from tests import _naive
+from tests._specs import ANALYZE_SPECS
 
 
 def small_catalog(max_n: int):
@@ -47,6 +47,11 @@ def naive_saturated(g: Graph, t: int) -> bool:
     return all(
         _naive.has_clique(Graph.from_edges(g.n, edges + [(u, v)]), t)
         for u, v in pairs)
+
+
+def naive_min_codegree(h: Graph, r: int) -> int:
+    """The validating codegree, minimized over the naive (r-1)-cliques."""
+    return min(clique_codegree(h, VertexSet.of(h.n, q)) for q in _naive.cliques_of_size(h, r - 1))
 
 
 class TestSaturationAgainstNaive:
@@ -103,9 +108,13 @@ class TestCodegree:
         for g in small_catalog(6):
             h = complement(g)
             for r in range(1, independence_number(g) + 1):
-                want = min(clique_codegree(h, VertexSet(h.n, m))
-                           for m in clique_masks_of_size(h.adj, h.n, r - 1))
-                assert min_clique_codegree(h, r) == want
+                assert min_clique_codegree(h, r) == naive_min_codegree(h, r)
+
+    @pytest.mark.parametrize("spec", ANALYZE_SPECS)
+    def test_min_matches_validating_codegree_on_families(self, spec):
+        g = generate(spec).graph
+        r = independence_number(g)
+        assert min_clique_codegree(complement(g), r) == naive_min_codegree(complement(g), r)
 
 
 class TestSpecializations:
@@ -199,10 +208,11 @@ class TestLevelsAgainstNaive:
             h = complement(g)
             delta = min(naive_degree(h, u) for u in range(h.n))
             sizes = naive_clique_union_sizes(g)
+            shape = clique_union_shape(g)
             for r in range(1, independence_number(g) + 1):
                 for p in (1, 2, 3):
                     want = naive_rigidity(delta, h.n, sizes, r, p)
-                    assert bound_report(h, r, p).rigidity_verdict == want
+                    assert bound_report(h, r, p, shape).rigidity_verdict == want
 
 
 class TestCliqueUnionShape:
@@ -219,26 +229,26 @@ class TestCliqueUnionShape:
 class TestRigidity:
     def test_holds(self):
         k33 = generate("complete_multipartite:parts=3,3").graph
-        br = bound_report(k33, 2, 3)
+        br = bound_report(k33, 2, 3, clique_union_shape(complement(k33)))
         assert br.rigidity_verdict == HOLDS
         assert br.complement_clique_sizes == (3, 3)
 
     def test_hypothesis_unmet(self, petersen):
-        br = bound_report(petersen, 2, 3)
+        br = bound_report(petersen, 2, 3, clique_union_shape(complement(petersen)))
         assert br.rigidity_verdict == HYPOTHESIS_UNMET
 
     def test_violation_when_applied_blindly(self):
         # K_4 meets the density hypothesis for r=2, p=1 but its
         # complement is four isolated vertices, not two cliques
         k4 = generate("complete:n=4").graph
-        br = bound_report(k4, 2, 1)
+        br = bound_report(k4, 2, 1, clique_union_shape(complement(k4)))
         assert br.rigidity_verdict == VIOLATION
         assert br.complement_clique_sizes == (1, 1, 1, 1)
 
 
 class TestBoundReport:
     def test_c4_instance(self, c4):
-        br = bound_report(c4, 2, 2)
+        br = bound_report(c4, 2, 2, clique_union_shape(complement(c4)))
         assert br.saturation_edge_bound == 3
         assert br.codegree_edge_bound == 4
         assert br.edge_count == 4
@@ -253,7 +263,7 @@ class TestBoundReport:
         assert br.complement_clique_sizes == (2, 2)
 
     def test_petersen_instance(self, petersen):
-        br = bound_report(petersen, 2, 3)
+        br = bound_report(petersen, 2, 3, clique_union_shape(complement(petersen)))
         assert br.saturation_edge_bound == 9
         assert br.codegree_edge_bound == 15
         assert br.edge_count == 15
@@ -265,9 +275,10 @@ class TestBoundReport:
 
     def test_universal_vertex_flag(self):
         k3 = generate("complete:n=3").graph
-        assert bound_report(k3, 1, 2).universal_vertex == 0
-        assert not bound_report(k3, 1, 2).universal_vertex_ok
-        assert bound_report(k3, 1, 1).universal_vertex_ok
+        shape = clique_union_shape(complement(k3))
+        assert bound_report(k3, 1, 2, shape).universal_vertex == 0
+        assert not bound_report(k3, 1, 2, shape).universal_vertex_ok
+        assert bound_report(k3, 1, 1, shape).universal_vertex_ok
 
 
 class TestDisjointWitnessSets:

@@ -23,10 +23,12 @@ from wellcov import (
     run_suite,
     sweep_catalog,
     theorem_reports,
+    w_index,
 )
 from wellcov import cli, independence, saturation
 from wellcov.catalog import labeled_graphs
 from wellcov.verify import catalog_suite
+from tests._specs import ANALYZE_SPECS
 
 
 def flip_localization(monkeypatch):
@@ -161,7 +163,7 @@ class TestSweep:
 
 
 # shared values that carry a one-entry cache without being tables
-SHARED_CACHES = (complement, independence_number)
+SHARED_CACHES = (complement, independence_number, saturation.min_clique_codegree)
 
 
 class TestTableCache:
@@ -221,36 +223,57 @@ class TestTableCache:
         sweep = sweep_catalog(5)
         assert len(calls) == sweep.graphs_checked == 1099
 
+    def test_no_route_reads_the_fixed_size_clique_table(self, monkeypatch, capsys):
+        # profile, condition (c) and the minimum codegree each run their
+        # own enumeration, so the W-index duality compares two that
+        # share nothing
+        calls = []
+        original = independence.clique_masks_of_size
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+        holders = [mod for name, mod in sys.modules.items()
+                   if name.startswith("wellcov.")
+                   and getattr(mod, "clique_masks_of_size", None) is original]
+        for mod in holders:
+            monkeypatch.setattr(mod, "clique_masks_of_size", counting)
+        assert sweep_catalog(5).ok
+        for spec in ANALYZE_SPECS:
+            assert cli.main(["analyze", spec]) == 0
+        assert calls == []
+
     def test_shared_values_miss_once_per_graph_and_side(self):
-        # a graph's complement and alpha are computed once per graph.  The
-        # complement h then asks for its own complement in the bound
-        # report, when condition (a) holds at some p, and for its own
-        # alpha in the Gorenstein complement route, when the graph has no
+        # a graph's complement, alpha and minimum codegree are computed
+        # once per graph.  The complement h then asks for its own alpha
+        # in the Gorenstein complement route, when the graph has no
         # isolated vertex and h's maximal cliques all have alpha(g)
-        # vertices.  Replaying those keys through a one-entry cache gives
-        # the exact misses: a key equal to the one before hits, as K1 and
-        # its complement do, or 2K1 followed in the catalog by K2
+        # vertices.  The codegree is asked at (h, alpha(g)) by the W-index
+        # duality on each well-covered graph, and by condition (d) and
+        # the Gorenstein route only on well-covered graphs.  Replaying
+        # those keys through a one-entry cache gives the exact misses: a
+        # key equal to the one before hits
         before = [c.cache_info() for c in SHARED_CACHES]
         sweep = sweep_catalog(5)
         after = [c.cache_info() for c in SHARED_CACHES]
-        complement_keys, alpha_keys = [], []
+        complement_keys, alpha_keys, codegree_keys = [], [], []
         for g in (g for n in range(1, 6) for g in labeled_graphs(n)):
             h = complement(g)
-            reports = theorem_reports(g, sweep.p_values)
             complement_keys.append(g)
-            if any(rep.cond_a for rep in reports.values()):
-                complement_keys.append(h)
             alpha_keys.append(g)
             if all(g.adj) and saturation.maximal_clique_sizes_uniform(h) == (
                     True, independence_number(g)):
                 alpha_keys.append(h)
+            if w_index(g) is not None:
+                codegree_keys.append((h, independence_number(g)))
 
         def one_entry_misses(keys):
             return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
         misses = [a.misses - b.misses for a, b in zip(after, before)]
-        assert misses == [one_entry_misses(complement_keys), one_entry_misses(alpha_keys)]
-        # 1,099 graphs, 87 reaching the bound report, 254 asking alpha(h)
-        assert misses == [1099 + 87 - 2, 1099 + 254]
+        assert misses == [one_entry_misses(keys)
+                          for keys in (complement_keys, alpha_keys, codegree_keys)]
+        # 1,099 graphs, 254 asking alpha(h), 387 well-covered
+        assert misses == [1099, 1099 + 254, 387]
         assert all(info.maxsize == 1 for info in after)
 
 

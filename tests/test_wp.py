@@ -40,7 +40,7 @@ from wellcov.bitset import VertexSet
 from wellcov.catalog import labeled_graphs
 
 from tests import _naive
-from tests._specs import STRUCTURED_SPECS
+from tests._specs import ANALYZE_SPECS, STRUCTURED_SPECS
 
 
 def small_catalog(max_n: int):
@@ -323,8 +323,7 @@ class TestNoGraphBuilds:
     and masks; building and validating a graph per edge or per vertex
     cost 154 and 92 builds on c7_blowup:q=4."""
 
-    @pytest.mark.parametrize("spec", [
-        "c7_blowup:q=4", "disjoint_cliques:r=8,p=3", "petersen_complement"])
+    @pytest.mark.parametrize("spec", ANALYZE_SPECS)
     @pytest.mark.parametrize("route", [
         non_critical_edge, lambda g: is_in_wp_localization(g, 1)],
         ids=["deletion", "localization"])
@@ -398,6 +397,44 @@ class TestEdgeScan:
         entries = edge_localization_scan(c4, 2)
         assert all(e.empty and e.vertex_count == 0 for e in entries)
         assert all(e.in_lower_class is None for e in entries)
+
+
+def naive_fiber_level(g: Graph) -> tuple[int, dict | None]:
+    """Condition (c) from the naive ridge table: 0 unless g is
+    well-covered and every edge lies in some fiber, else the thinnest
+    fiber with the smallest ridge among the thinnest.  The witness is
+    given only where the level is positive, or for the uncovered edge."""
+    well_covered, table = _naive.ridge_table(g)
+    if not well_covered:
+        return 0, None
+    for u, v in g.edges():
+        if not any(u in fiber and v in fiber for _, fiber in table):
+            return 0, {"kind": "uncovered_edge", "edge": (u, v)}
+    ridge, fiber = min(table, key=lambda row: len(row[1]))
+    return len(fiber), {"kind": "thin_fiber", "ridge": ridge, "fiber": list(fiber)}
+
+
+class TestFiberConditionAgainstNaive:
+    """Condition (c) reads its ridges and fibers off the maximum-set
+    table; its level and witness must match fibers found by definition."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        level, witness = wp._cond_c(g)
+        want_level, want_witness = naive_fiber_level(g)
+        assert level == want_level
+        if want_witness is None:
+            assert witness["kind"] == "not_well_covered"
+        else:
+            assert witness == want_witness
+
+    def test_catalog_n6(self):
+        for g in small_catalog(6):
+            self.check(g)
+
+    @pytest.mark.parametrize("spec", ANALYZE_SPECS)
+    def test_families(self, spec):
+        self.check(generate(spec).graph)
 
 
 class TestTheoremReport:
