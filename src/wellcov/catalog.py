@@ -38,8 +38,8 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def labeled_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
-    """Every labeled graph on n vertices, in pair-mask order."""
+def check_order(n: int, *, allow_large: bool = False) -> None:
+    """Raise ValueError unless the catalog of order n is within the cap."""
     if n < 1:
         raise ValueError(f"catalog order must be at least 1 (got {n})")
     limit = HARD_MAX_N if allow_large else DEFAULT_MAX_N
@@ -49,5 +49,10 @@ def labeled_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
             + ("" if allow_large else f"; {HARD_MAX_N} needs allow_large=True"
                " (--allow-large on the command line)")
         )
+
+
+def labeled_graphs(n: int, *, allow_large: bool = False) -> Iterator[Graph]:
+    """Every labeled graph on n vertices, in pair-mask order."""
+    check_order(n, allow_large=allow_large)
     for mask in range(catalog_size(n)):
         yield graph_from_pair_mask(n, mask)

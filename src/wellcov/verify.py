@@ -13,17 +13,26 @@ A sweep keeps one ledger: every record, in discovery order, names its
 check (`deciders`, `conditions`, `criticality`, `w_index_duality`,
 `gorenstein`, `alpha2`, `alpha3`, `bounds`, `rigidity`, `codec`), and
 that name alone decides which suite line a record fails.
+
+Every check on a run of consecutive pair masks is one job,
+`_check_range`, in one copy.  The sweep runs an order of one job (every
+n <= 5) in this process and hands a larger order (n = 6, 32 jobs) to a
+pool of at most two forked workers that lives for one sweep.  It reads
+the results in mask order, so the ledger and the find hits are the
+same as a one-process sweep's.  Each worker keeps its own localization
+memo; a memo changes only speed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .bitset import VertexSet
-from .catalog import catalog_size, labeled_graphs
+from .catalog import catalog_size, check_order, graph_from_pair_mask
 from .families import generate
 from .graph6 import decode, encode
 from .graphs import Graph, complement, edge_localization
@@ -208,6 +217,66 @@ class CatalogSweep:
         return [rec for rec in self.records if rec["check"] in checks]
 
 
+# pair masks per job.  An order of more than one job goes to the
+# pool; at the default cap that is only n = 6, in 32 jobs
+_CHUNK = 1024
+_MAX_WORKERS = 2
+# graphs between progress calls
+_PROGRESS_EVERY = 4096
+
+# a pool worker's localization memo, which it fills over the sweep it
+# serves; the sweeping process never writes it, so each worker forks
+# with it empty
+_worker_memo: dict = {}
+
+
+def _check_range(
+    n: int, start: int, stop: int, p_values: tuple[int, ...], memo: dict
+) -> tuple[int, list[dict], list[tuple[tuple[int, int, int], str]]]:
+    """Every check on the labeled graphs of order n whose pair masks lie
+    in [start, stop): the graphs checked, then the records and the find
+    hits ((n, r, p), graph6), both in mask order."""
+    records: list[dict] = []
+    hits = []
+    for mask in range(start, stop):
+        g = graph_from_pair_mask(n, mask)
+        g6 = encode(g)
+        if decode(g6).adj != g.adj:
+            records.append(_record(g, "codec", "round trip changed the graph"))
+        reports: dict = {}
+        records += equivalence_discrepancies(g, p_values, memo, reports=reports)
+        records += corollary_discrepancies(g, p_values, memo=memo, reports=reports)
+        for p in p_values:
+            rep = reports[p]
+            if n == rep.r * p and rep.all_true:
+                hits.append(((n, rep.r, p), g6))
+    return stop - start, records, hits
+
+
+def _check_range_in_worker(job: tuple) -> tuple:
+    return _check_range(*job, _worker_memo)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_pool():
+    """A pool of min(2, usable CPUs) forked workers; None with fewer
+    than two CPUs or without fork.  Forked workers inherit the loaded,
+    possibly patched, modules, and no resource tracker starts."""
+    workers = min(_MAX_WORKERS, _usable_cpus())
+    if workers < 2:
+        return None
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    ctx = multiprocessing.get_context("fork")
+    return ctx.Pool(workers)
+
+
 def sweep_catalog(
     max_n: int = 6,
     p_values: tuple[int, ...] = (1, 2, 3),
@@ -215,26 +284,52 @@ def sweep_catalog(
     progress: Progress | None = None,
 ) -> CatalogSweep:
     """Cross-validate everything over all labeled graphs on 1..max_n
-    vertices.  One localization memo is shared across the whole sweep."""
+    vertices.
+
+    Each order is cut into jobs of consecutive pair masks.  An order of
+    one job runs in this process; a larger one runs on a pool of at
+    most two forked workers, whose results are read in mask order, so
+    the sweep is the same field for field.  The pool lives only for
+    this call.  This process shares one localization memo across its
+    orders, and each worker keeps its own for the sweep; a memo changes
+    only speed, never a verdict.  The workers are forked,
+    so call this from a process that runs no other thread.
+    """
     sweep = CatalogSweep(max_n=max_n, p_values=tuple(p_values))
     memo: dict = {}
+    pool = None
     started = time.perf_counter()
-    for n in range(1, max_n + 1):
-        total = catalog_size(n)
-        for index, g in enumerate(labeled_graphs(n)):
-            if progress is not None and index % 4096 == 0:
-                progress(n, index, total)
-            sweep.graphs_checked += 1
-            g6 = encode(g)
-            if decode(g6).adj != g.adj:
-                sweep.records.append(_record(g, "codec", "round trip changed the graph"))
-            reports: dict = {}
-            sweep.records += equivalence_discrepancies(g, sweep.p_values, memo, reports=reports)
-            sweep.records += corollary_discrepancies(g, sweep.p_values, memo=memo, reports=reports)
-            for p in sweep.p_values:
-                rep = reports[p]
-                if n == rep.r * p and rep.all_true:
-                    sweep.find_hits.setdefault((n, rep.r, p), []).append(g6)
+    try:
+        for n in range(1, max_n + 1):
+            check_order(n)
+            total = catalog_size(n)
+            jobs = [(n, lo, min(lo + _CHUNK, total), sweep.p_values)
+                    for lo in range(0, total, _CHUNK)]
+            if len(jobs) > 1 and pool is None:
+                pool = _fork_pool()
+            if len(jobs) > 1 and pool is not None:
+                results = pool.imap(_check_range_in_worker, jobs)
+            else:
+                results = (_check_range(*job, memo) for job in jobs)
+            for _, lo, hi, _ in jobs:
+                if progress is not None:
+                    # the graphs before each index called are done
+                    first = -(-lo // _PROGRESS_EVERY) * _PROGRESS_EVERY
+                    for index in range(first, hi, _PROGRESS_EVERY):
+                        progress(n, index, total)
+                checked, records, hits = next(results)
+                sweep.graphs_checked += checked
+                sweep.records += records
+                for key, g6 in hits:
+                    sweep.find_hits.setdefault(key, []).append(g6)
+    except BaseException:
+        if pool is not None:
+            pool.terminate()
+        raise
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
     sweep.elapsed_seconds = time.perf_counter() - started
     return sweep
 

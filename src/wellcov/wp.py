@@ -321,7 +321,8 @@ def non_critical_edge(g: Graph) -> tuple[int, int] | None:
 def is_alpha_critical_fibers(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     """Criticality via the fiber cover: every edge must lie inside some
     ridge's fiber.  Returns the first uncovered edge as witness."""
-    fibers = profile(g).fibers
+    # many ridges share a fiber: 17,496 ridges of 8K3 have 8 fibers
+    fibers = set(profile(g).fibers)
     for u, v in g.edges():
         pair = 1 << u | 1 << v
         if not any(pair & f == pair for f in fibers):
@@ -367,13 +368,24 @@ class TheoremReport:
         return self.cond_a and self.cond_b and self.cond_c and self.cond_d
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    """The vertices of a mask, ascending.  Witnesses are built this way,
+    not through a validated VertexSet; this formats and decides nothing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _cond_a(
-    n: int, bad: tuple[int, ...] | None, loose: tuple[int, int] | None
+    bad: tuple[int, ...] | None, loose: tuple[int, int] | None
 ) -> tuple[bool, dict | None]:
     if bad is not None:
         return False, {
             "kind": "unextendable_family",
-            "sets": [VertexSet(n, m).to_tuple() for m in bad],
+            "sets": [_members(m) for m in bad],
         }
     if loose is not None:
         return False, {"kind": "non_critical_edge", "edge": loose}
@@ -383,7 +395,7 @@ def _cond_a(
 def _cond_b(g: Graph, prof: IndependenceProfile) -> tuple[int, dict]:
     if not prof.is_pure:
         small = min(prof.facets, key=int.bit_count)
-        return 0, {"kind": "impure_complex", "facet": VertexSet(g.n, small).to_tuple()}
+        return 0, {"kind": "impure_complex", "facet": _members(small)}
     for u, v in g.edges():
         pair = 1 << u | 1 << v
         if not any(pair & f == pair for f in prof.fibers):
@@ -391,7 +403,7 @@ def _cond_b(g: Graph, prof: IndependenceProfile) -> tuple[int, dict]:
     # the ridge's link has exactly the fiber as vertex set
     degree = prof.min_fiber_size
     thin = next(s for s, f in zip(prof.ridges, prof.fibers) if f.bit_count() == degree)
-    return degree, {"kind": "thin_ridge", "ridge": VertexSet(g.n, thin).to_tuple(), "degree": degree}
+    return degree, {"kind": "thin_ridge", "ridge": _members(thin), "degree": degree}
 
 
 def _cond_c(g: Graph) -> tuple[int, dict]:
@@ -401,7 +413,7 @@ def _cond_c(g: Graph) -> tuple[int, dict]:
         if m.bit_count() != alpha:
             return 0, {
                 "kind": "not_well_covered",
-                "maximal_set": VertexSet(g.n, m).to_tuple(),
+                "maximal_set": _members(m),
             }
     # the complex is pure, so every ridge is a maximum set less one
     # vertex x, and x is in its fiber: each membership in the
@@ -426,10 +438,10 @@ def _cond_c(g: Graph) -> tuple[int, dict]:
         if not covered[u] >> v & 1:
             return 0, {"kind": "uncovered_edge", "edge": (u, v)}
     thin = min(fibers, key=lambda s: (fibers[s].bit_count(), s))
-    fiber = VertexSet(g.n, fibers[thin]).to_tuple()
+    fiber = _members(fibers[thin])
     return len(fiber), {
         "kind": "thin_fiber",
-        "ridge": VertexSet(g.n, thin).to_tuple(),
+        "ridge": _members(thin),
         "fiber": list(fiber),
     }
 
@@ -463,7 +475,7 @@ def theorem_reports(
     levels = {"cond_b": _cond_b(g, profile(g)), "cond_c": _cond_c(g), "cond_d": _cond_d(g, r)}
     reports = {}
     for p, family in bad.items():
-        a, wa = _cond_a(g.n, family, loose)
+        a, wa = _cond_a(family, loose)
         witnesses = {} if wa is None else {"cond_a": wa}
         witnesses.update((name, w) for name, (level, w) in levels.items() if level < p)
         flags = {name: level >= p for name, (level, _) in levels.items()}

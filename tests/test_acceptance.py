@@ -4,8 +4,10 @@ Each test covers one numbered criterion and prints a single PASS/FAIL
 line through the capture manager so the verdicts land on the real
 terminal in any pytest run.  The heavy piece, the exhaustive n <= 6
 catalog sweep at p in {1, 2, 3}, runs once per session and feeds the
-catalog-wide criteria; it must finish inside the five-minute budget
-single-threaded.
+catalog-wide criteria; it must finish inside the five-minute budget.
+The sweep hands n = 6 to a pool of at most two worker processes; on a
+shared 2-core host with Python 3.11.7 it took about 5 s that way and
+9-11 s in one process.
 """
 
 import pytest

@@ -5,8 +5,11 @@ machinery itself is checked at n <= 4 where a run takes milliseconds.
 """
 
 import json
+import multiprocessing
+import os
 import shlex
 import sys
+import time
 
 import pytest
 
@@ -25,8 +28,8 @@ from wellcov import (
     theorem_reports,
     w_index,
 )
-from wellcov import cli, independence, saturation
-from wellcov.catalog import labeled_graphs
+from wellcov import cli, independence, saturation, verify
+from wellcov.catalog import graph_from_pair_mask, labeled_graphs
 from wellcov.verify import catalog_suite
 from tests._specs import ANALYZE_SPECS
 
@@ -160,6 +163,113 @@ class TestSweep:
         # the edgeless graph lands in the trivial p = 1 cell
         assert sweep.find_hits[(4, 4, 1)] == ["C?"]
         assert (4, 1, 4) not in sweep.find_hits
+
+
+def traced_sweep(max_n):
+    """sweep_catalog(max_n), its progress calls, and the number of live
+    child processes at each call."""
+    calls, children = [], []
+
+    def progress(*args):
+        calls.append(args)
+        children.append(len(multiprocessing.active_children()))
+    return sweep_catalog(max_n, progress=progress), calls, children
+
+
+def small_jobs(monkeypatch):
+    """Jobs of 48 pair masks and a progress call every 64 graphs, so
+    that n = 4 (2 jobs) and n = 5 (22 jobs) go to the pool, and the
+    progress indices fall inside jobs; and more CPUs than the cap."""
+    monkeypatch.setattr(verify, "_CHUNK", 48)
+    monkeypatch.setattr(verify, "_PROGRESS_EVERY", 64)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 8)
+    pools = []
+    original = verify._fork_pool
+
+    def spy():
+        pools.append(original())
+        return pools[-1]
+    monkeypatch.setattr(verify, "_fork_pool", spy)
+    return pools
+
+
+class PlantedError(RuntimeError):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+class TestPooledSweep:
+    """The pooled sweep against the in-process one: the same records
+    and find hits in the same order, the same progress calls, at most
+    two workers, and none left when the call returns or raises."""
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["clean", "records"])
+    def test_pool_matches_in_process_sweep(self, monkeypatch, flip):
+        if flip:
+            flip_localization(monkeypatch)
+        monkeypatch.setattr(verify, "_PROGRESS_EVERY", 64)
+        serial, serial_calls, serial_children = traced_sweep(5)
+        pools = small_jobs(monkeypatch)
+        pooled, pooled_calls, pooled_children = traced_sweep(5)
+
+        assert len(pools) == 1 and pools[0] is not None
+        assert serial_children == [0] * len(serial_calls)
+        # the pool starts at n = 4 and serves n = 5 too
+        assert pooled_children == [0, 0, 0] + [2] * (len(pooled_calls) - 3)
+        assert pooled.graphs_checked == serial.graphs_checked == 1099
+        assert pooled.records == serial.records
+        assert bool(pooled.records) == flip
+        # key order, and each hit list in mask order
+        assert list(pooled.find_hits.items()) == list(serial.find_hits.items())
+        assert pooled_calls == serial_calls
+        assert len(serial_calls) == 3 + 1 + 1024 // 64
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_sweeps_in_process(self, monkeypatch):
+        pools = small_jobs(monkeypatch)
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+        sweep, calls, children = traced_sweep(5)
+        # asked at n = 4 and again at n = 5
+        assert pools == [None, None]
+        assert children == [0] * len(calls)
+        assert sweep.ok and sweep.graphs_checked == 1099
+
+    def test_default_jobs_keep_n5_in_process(self, monkeypatch):
+        pools = small_jobs(monkeypatch)
+        monkeypatch.setattr(verify, "_CHUNK", 1024)
+        sweep, calls, children = traced_sweep(5)
+        assert pools == []
+        assert sweep.ok and children == [0] * len(calls)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # a later job stalls, so a pool that is closed and joined
+        # instead of terminated first waits 20 s for it
+        pools = small_jobs(monkeypatch)
+        planted = encode(graph_from_pair_mask(5, 700))
+        stalled = encode(graph_from_pair_mask(5, 1000))
+        original = verify.is_alpha_critical_fibers
+
+        def failing(g):
+            if encode(g) == planted:
+                raise PlantedError(planted)
+            if encode(g) == stalled:
+                time.sleep(20)
+            return original(g)
+        monkeypatch.setattr(verify, "is_alpha_critical_fibers", failing)
+        started = time.perf_counter()
+        with pytest.raises(PlantedError) as raised:
+            sweep_catalog(5)
+        assert time.perf_counter() - started < 10
+        assert raised.value.args == (planted,)
+        assert len(pools) == 1 and pools[0] is not None
+        assert multiprocessing.active_children() == []
+
+    def test_order_above_the_cap_raises_after_the_pool_is_gone(self, monkeypatch):
+        small_jobs(monkeypatch)
+        monkeypatch.setattr("wellcov.catalog.DEFAULT_MAX_N", 5)
+        with pytest.raises(ValueError, match="capped at 5"):
+            sweep_catalog(6)
+        assert multiprocessing.active_children() == []
 
 
 # shared values that carry a one-entry cache without being tables

@@ -247,6 +247,30 @@ class TestCriticality:
             assert is_alpha_critical_direct(g) == is_alpha_critical_fibers(g)[0]
 
 
+def uncovered_by_naive_fibers(g: Graph) -> tuple[int, int] | None:
+    """The first edge, in edge order, inside no fiber of the naive ridge
+    table."""
+    fibers = [set(f) for _, f in _naive.ridge_table(g)[1]]
+    return next((e for e in g.edges() if not any(set(e) <= f for f in fibers)), None)
+
+
+class TestFiberCoverAgainstNaive:
+    """The fiber-cover route tests each edge against the distinct
+    fibers only; its verdict and first uncovered edge must match a scan
+    of every ridge's fiber found by definition."""
+
+    def test_catalog_n6(self):
+        for g in small_catalog(6):
+            edge = uncovered_by_naive_fibers(g)
+            assert is_alpha_critical_fibers(g) == (edge is None, edge)
+
+    @pytest.mark.parametrize("spec", ANALYZE_SPECS)
+    def test_families(self, spec):
+        g = generate(spec).graph
+        edge = uncovered_by_naive_fibers(g)
+        assert is_alpha_critical_fibers(g) == (edge is None, edge)
+
+
 def non_critical_by_deletion(g: Graph) -> tuple[int, int] | None:
     """The deletion route through built graphs: `delete_edge`, then
     `independence_number` of the result, edge by edge."""
@@ -457,6 +481,12 @@ class TestTheoremReport:
         for g in small_catalog(4):
             for p in (1, 2):
                 assert main_theorem_report(g, p).all_equal
+
+    def test_witness_sets_are_vertex_set_tuples(self):
+        # every witness set is built from a mask as VertexSet built it
+        for n in range(11):
+            for mask in range(1 << n):
+                assert wp._members(mask) == VertexSet(n, mask).to_tuple()
 
     def test_witness_exactly_when_failing_n5(self):
         thinness = {
