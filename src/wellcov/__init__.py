@@ -8,14 +8,12 @@ from .graphs import (
     EmptySubgraphError,
     Graph,
     Subgraph,
-    closed_neighborhood,
     complement,
     connected_components,
     delete_edge,
     edge_localization,
     induced_subgraph,
     lexicographic_product,
-    localization,
 )
 from .graph6 import Graph6Error, decode, encode, iter_stream
 from .families import FamilyGraph, FamilySpec, FAMILY_NAMES, generate
@@ -65,6 +63,7 @@ from .verify import (
     SuiteLine,
     SuiteResult,
     catalog_suite,
+    check_graph,
     codec_suite,
     corollary_discrepancies,
     equivalence_discrepancies,

@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Four subcommands: analyze prints a JSON report for one graph, scan
-cross-validates a graph6 stream or the built-in labeled catalog, family
-emits generator output as graph6, and verify runs a named suite and
-prints a per-check table.  Graphs travel on stdin/stdout as graph6;
-diagnostics go to stderr.  Exit codes: 0 clean, 1 verification
-failures or counterexamples, 2 usage or input errors.
+runs the catalog sweep's per-graph job, `verify.check_graph`, over a
+graph6 stream or the built-in labeled catalog (or, under `--mode find`,
+emits the graphs with an all-true report), family emits generator
+output as graph6, and verify runs a named suite and prints a per-check
+table.  Graphs travel on stdin/stdout as graph6; diagnostics go to
+stderr.  Exit codes: 0 clean, 1 verification failures or
+counterexamples, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -28,13 +30,7 @@ from .saturation import (
     maximal_clique_sizes_uniform,
     min_clique_codegree,
 )
-from .verify import (
-    SUITE_NAMES,
-    Progress,
-    corollary_discrepancies,
-    equivalence_discrepancies,
-    run_suite,
-)
+from .verify import SUITE_NAMES, Progress, check_graph, run_suite
 from .wp import (
     OracleSizeError,
     edge_localization_scan,
@@ -242,7 +238,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         p_values = _parse_p_values(args.p)
     except ValueError as exc:
         return _fail(str(exc))
-    if args.mode == "find" and args.r is not None and args.r < 1:
+    if args.r is not None and args.mode != "find":
+        return _fail("--r applies only to --mode find")
+    if args.r is not None and args.r < 1:
         return _fail("--r must be positive")
 
     memo: dict = {}
@@ -263,12 +261,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
             g = item
             graphs_checked += 1
             try:
-                if args.mode == "equivalence":
-                    found = equivalence_discrepancies(
-                        g, p_values, memo, allow_large=args.allow_large)
-                elif args.mode == "corollaries":
-                    found = corollary_discrepancies(
-                        g, p_values, allow_large=args.allow_large, memo=memo)
+                if args.mode == "check":
+                    found, _ = check_graph(g, p_values, memo, allow_large=args.allow_large)
                 else:
                     found = []
                     alpha = independence_number(g)
@@ -410,12 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=cmd_analyze)
 
     scan = sub.add_parser("scan", help="cross-validate a graph6 stream or the catalog")
-    scan.add_argument("--input", default=None, help="graph6 file; stdin when omitted")
-    scan.add_argument("--exhaustive", type=int, default=None, metavar="N",
-                      help=f"scan all labeled graphs on N vertices "
-                           f"(N <= {DEFAULT_MAX_N}, or {HARD_MAX_N} with --allow-large)")
-    scan.add_argument("--mode", choices=("equivalence", "corollaries", "find"),
-                      default="equivalence")
+    source = scan.add_mutually_exclusive_group()
+    source.add_argument("--input", default=None, help="graph6 file; stdin when omitted")
+    source.add_argument("--exhaustive", type=int, default=None, metavar="N",
+                        help=f"scan all labeled graphs on N vertices "
+                             f"(N <= {DEFAULT_MAX_N}, or {HARD_MAX_N} with --allow-large)")
+    scan.add_argument("--mode", choices=("check", "find"), default="check",
+                      help="check: every cross-check of the catalog sweep; "
+                           "find: print graphs whose report is all-true at some p")
     scan.add_argument("--p", default="1,2,3", help="comma list of membership levels")
     scan.add_argument("--r", type=int, default=None,
                       help="find mode: restrict to graphs with this independence number")

@@ -3,8 +3,8 @@
 Vertices are 0..n-1 and row v is an int whose set bits are the
 neighbours of v.  Construction validates symmetry and irreflexivity, so
 every Graph in circulation is a simple undirected graph.  Zero-vertex
-graphs are not representable: operations that would produce one (the
-localizations) return None instead, and induced_subgraph rejects an
+graphs are not representable: an operation that would produce one
+(edge_localization) returns None instead, and induced_subgraph rejects an
 empty keep set outright so the two cases stay distinguishable.
 """
 
@@ -86,10 +86,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def is_complete(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(row == full ^ 1 << v for v, row in enumerate(self.adj))
-
 
 @dataclass(frozen=True, slots=True)
 class Subgraph:
@@ -124,15 +120,6 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def closed_neighborhood(g: Graph, s: VertexSet) -> VertexSet:
-    if s.universe != g.n:
-        raise ValueError("vertex set universe does not match the graph")
-    bits = s.bits
-    for v in s:
-        bits |= g.adj[v]
-    return VertexSet(g.n, bits)
-
-
 def induced_rows(rows: Sequence[int], keep: int) -> tuple[int, ...]:
     """Rows of the subgraph induced on the vertex mask keep, with the
     kept vertices relabeled 0, 1, ... in ascending order.
@@ -158,14 +145,6 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> Subgraph:
         raise EmptySubgraphError("induced subgraph on an empty vertex set")
     kept = keep.to_tuple()
     return Subgraph(Graph(len(kept), induced_rows(g.adj, keep.bits)), kept)
-
-
-def localization(g: Graph, s: VertexSet) -> Subgraph | None:
-    """Delete the closed neighborhood of s; None when nothing remains."""
-    keep = closed_neighborhood(g, s).complement()
-    if not keep:
-        return None
-    return induced_subgraph(g, keep)
 
 
 def edge_localization(g: Graph, e: tuple[int, int]) -> Subgraph | None:

@@ -185,10 +185,6 @@ class BoundReport:
         return self.edge_count >= max(self.saturation_edge_bound, self.codegree_edge_bound)
 
     @property
-    def saturation_edge_bound_tight(self) -> bool:
-        return self.edge_count == self.saturation_edge_bound
-
-    @property
     def codegree_edge_bound_tight(self) -> bool:
         return self.edge_count == self.codegree_edge_bound
 

@@ -14,13 +14,16 @@ check (`deciders`, `conditions`, `criticality`, `w_index_duality`,
 `gorenstein`, `alpha2`, `alpha3`, `bounds`, `rigidity`, `codec`), and
 that name alone decides which suite line a record fails.
 
-Every check on a run of consecutive pair masks is one job,
-`_check_range`, in one copy.  The sweep runs an order of one job (every
-n <= 5) in this process and hands a larger order (n = 6, 32 jobs) to a
-pool of at most two forked workers that lives for one sweep.  It reads
-the results in mask order, so the ledger and the find hits are the
-same as a one-process sweep's.  Each worker keeps its own localization
-memo; a memo changes only speed.
+Every check on one graph is one job, `check_graph`: the codec round
+trip, one set of theorem reports, then the equivalence and corollary
+checks on those reports.  The catalog sweep and `wellcov scan` both
+run it, and no other code strings these checks together.  The sweep
+runs it over runs of consecutive pair masks, `_check_range`; an order
+of one run (every n <= 5) stays in this process and a larger order
+(n = 6, 32 runs) goes to a pool of at most two forked workers that
+lives for one sweep.  It reads the results in mask order, so the ledger
+and the find hits are the same as a one-process sweep's.  Each worker
+keeps its own localization memo; a memo changes only speed.
 """
 
 from __future__ import annotations
@@ -80,17 +83,14 @@ def _record(
     return rec
 
 
-def _theorem_reports(
-    g: Graph,
-    p_values: Iterable[int],
-    reports: dict | None,
-    allow_large: bool,
-) -> dict:
+def _theorem_reports(g: Graph, p_values: Iterable[int], reports: dict | None) -> dict:
+    """reports, or a new dict, filled in place with the report at each p
+    it lacks."""
     if reports is None:
         reports = {}
     missing = [p for p in p_values if p not in reports]
     if missing:
-        reports.update(theorem_reports(g, missing, allow_large=allow_large))
+        reports.update(theorem_reports(g, missing))
     return reports
 
 
@@ -99,13 +99,12 @@ def equivalence_discrepancies(
     p_values: Iterable[int],
     memo: dict | None = None,
     *,
-    allow_large: bool = False,
     reports: dict | None = None,
 ) -> list[dict]:
     """Decider agreement and four-way condition agreement for one graph."""
     p_values = tuple(p_values)
     out = []
-    reports = _theorem_reports(g, p_values, reports, allow_large)
+    reports = _theorem_reports(g, p_values, reports)
     # the ridge decider is a threshold on the W-index, read once per graph
     w = w_index(g)
     for p in p_values:
@@ -129,7 +128,6 @@ def corollary_discrepancies(
     g: Graph,
     p_values: Iterable[int],
     *,
-    allow_large: bool = False,
     memo: dict | None = None,
     reports: dict | None = None,
 ) -> list[dict]:
@@ -137,7 +135,7 @@ def corollary_discrepancies(
     three-condition check for one graph."""
     p_values = tuple(p_values)
     out = []
-    reports = _theorem_reports(g, p_values, reports, allow_large)
+    reports = _theorem_reports(g, p_values, reports)
     r = independence_number(g)
     h = complement(g)
 
@@ -195,6 +193,24 @@ def corollary_discrepancies(
     return out
 
 
+def check_graph(
+    g: Graph, p_values: Iterable[int], memo: dict, *, allow_large: bool = False
+) -> tuple[list[dict], dict]:
+    """Every check on one graph, the job of the catalog sweep and of
+    `wellcov scan`: the records, codec first, then equivalence, then
+    corollaries, and the theorem report at each p.  Both check groups
+    read the one set of reports, which raise `OracleSizeError` past the
+    oracle guard unless allow_large is set."""
+    p_values = tuple(p_values)
+    records = []
+    if decode(encode(g)).adj != g.adj:
+        records.append(_record(g, "codec", "round trip changed the graph"))
+    reports = theorem_reports(g, p_values, allow_large=allow_large)
+    records += equivalence_discrepancies(g, p_values, memo, reports=reports)
+    records += corollary_discrepancies(g, p_values, memo=memo, reports=reports)
+    return records, reports
+
+
 @dataclass
 class CatalogSweep:
     max_n: int
@@ -233,23 +249,19 @@ _worker_memo: dict = {}
 def _check_range(
     n: int, start: int, stop: int, p_values: tuple[int, ...], memo: dict
 ) -> tuple[int, list[dict], list[tuple[tuple[int, int, int], str]]]:
-    """Every check on the labeled graphs of order n whose pair masks lie
-    in [start, stop): the graphs checked, then the records and the find
-    hits ((n, r, p), graph6), both in mask order."""
+    """`check_graph` on the labeled graphs of order n whose pair masks
+    lie in [start, stop): the graphs checked, then the records and the
+    find hits ((n, r, p), graph6), both in mask order."""
     records: list[dict] = []
     hits = []
     for mask in range(start, stop):
         g = graph_from_pair_mask(n, mask)
-        g6 = encode(g)
-        if decode(g6).adj != g.adj:
-            records.append(_record(g, "codec", "round trip changed the graph"))
-        reports: dict = {}
-        records += equivalence_discrepancies(g, p_values, memo, reports=reports)
-        records += corollary_discrepancies(g, p_values, memo=memo, reports=reports)
+        found, reports = check_graph(g, p_values, memo)
+        records += found
         for p in p_values:
             rep = reports[p]
             if n == rep.r * p and rep.all_true:
-                hits.append(((n, rep.r, p), g6))
+                hits.append(((n, rep.r, p), encode(g)))
     return stop - start, records, hits
 
 

@@ -67,14 +67,31 @@ def ridge_table(g: Graph) -> tuple[bool, list[tuple[tuple[int, ...], tuple[int, 
         set(level) <= {w[:i] + w[i + 1:] for w in above for i in range(len(w))}
         for level, above in zip(levels, levels[1:]))
     ridges = sorted(levels[-2], key=lambda vs: sum(1 << v for v in vs))
-    return well_covered, [
-        (vs, tuple(x for x in range(g.n)
-                   if x not in vs and all(not g.has_edge(x, v) for v in vs)))
-        for vs in ridges]
+    return well_covered, [(vs, outside_closed_neighbourhood(g, vs)) for vs in ridges]
+
+
+def outside_closed_neighbourhood(g: Graph, vs) -> tuple[int, ...]:
+    """The vertices neither in vs nor adjacent to a member of vs."""
+    return tuple(x for x in range(g.n)
+                 if x not in vs and all(not g.has_edge(x, v) for v in vs))
+
+
+def localization(g: Graph, vs) -> Graph | None:
+    """g less the closed neighbourhood of vs, the kept vertices
+    relabeled 0, 1, ... in ascending order; None when none is kept."""
+    keep = outside_closed_neighbourhood(g, vs)
+    if not keep:
+        return None
+    return Graph.from_edges(len(keep), [
+        (i, j) for i, j in combinations(range(len(keep)), 2) if g.has_edge(keep[i], keep[j])])
 
 
 def is_clique(g: Graph, vs) -> bool:
     return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+
+
+def is_complete(g: Graph) -> bool:
+    return is_clique(g, range(g.n))
 
 
 def cliques_of_size(g: Graph, k: int) -> list[tuple[int, ...]]:

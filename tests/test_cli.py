@@ -97,8 +97,8 @@ class TestAnalyze:
 
 class TestScan:
     def test_exhaustive_equivalence_clean(self, capsys):
-        code, out, err = run(capsys, "scan", "--exhaustive", "4",
-                             "--mode", "equivalence", "--p", "1,2")
+        # the default mode runs the sweep's whole job, equivalence included
+        code, out, err = run(capsys, "scan", "--exhaustive", "4", "--p", "1,2")
         assert code == EXIT_OK
         assert out == ""
         assert "0 discrepancies" in err
@@ -183,6 +183,25 @@ class TestScan:
     def test_missing_file_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "scan", "--input", "/nonexistent.g6")
         assert code == EXIT_USAGE
+
+    def test_input_and_exhaustive_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--exhaustive", "3", "--input", "/nonexistent.g6"])
+        assert info.value.code == EXIT_USAGE
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_r_outside_find_mode_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--exhaustive", "3", "--r", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--r applies only to --mode find" in err
+
+    def test_half_modes_are_gone(self, capsys):
+        for mode in ("equivalence", "corollaries"):
+            with pytest.raises(SystemExit) as info:
+                main(["scan", "--exhaustive", "3", "--mode", mode])
+            assert info.value.code == EXIT_USAGE
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestFamily:

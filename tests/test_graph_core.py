@@ -18,7 +18,6 @@ from wellcov import (
     edge_localization,
     induced_subgraph,
     lexicographic_product,
-    localization,
 )
 from wellcov.catalog import labeled_graphs
 
@@ -97,13 +96,6 @@ class TestGraph:
         with pytest.raises(ValueError, match="out of range 1..512"):
             Graph.from_edges(0, [])
 
-    def test_complete_and_edgeless(self):
-        k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        assert k3.is_complete() and k3.edge_count == 3
-        e3 = Graph.from_edges(3, [])
-        assert e3.edge_count == 0 and not e3.is_complete()
-        assert Graph.from_edges(1, []).is_complete()
-
     def test_complement_involution(self, c5):
         assert complement(complement(c5)).adj == c5.adj
         # C_5 is self-complementary
@@ -143,17 +135,6 @@ class TestInducedAndLocalization:
     def test_universe_mismatch_rejected(self, c5):
         with pytest.raises(ValueError, match="universe"):
             induced_subgraph(c5, VertexSet(4, 0b1111))
-        with pytest.raises(ValueError, match="universe"):
-            localization(c5, VertexSet.of(6, [0]))
-
-    def test_localization_removes_closed_neighborhood(self, c7):
-        sub = localization(c7, VertexSet.of(7, [0]))
-        assert sub is not None
-        assert sub.kept == (2, 3, 4, 5)
-
-    def test_localization_empty_signal(self):
-        k3 = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        assert localization(k3, VertexSet.of(3, [0])) is None
 
     def test_edge_localization(self, c7):
         sub = edge_localization(c7, (0, 1))

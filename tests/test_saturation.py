@@ -254,7 +254,6 @@ class TestBoundReport:
         assert br.edge_count == 4
         assert br.edge_bounds_ok
         assert br.codegree_edge_bound_tight
-        assert not br.saturation_edge_bound_tight
         assert br.min_degree == 2 and br.min_degree_bound == 2 and br.min_degree_ok
         assert br.universal_vertex is None and br.universal_vertex_ok
         assert br.rigidity_verdict == HOLDS

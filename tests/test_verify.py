@@ -14,6 +14,10 @@ import time
 import pytest
 
 from wellcov import (
+    Graph,
+    OracleSizeError,
+    TheoremReport,
+    check_graph,
     codec_suite,
     complement,
     corollary_discrepancies,
@@ -39,6 +43,30 @@ def flip_localization(monkeypatch):
     monkeypatch.setattr(
         "wellcov.verify.is_in_wp_localization",
         lambda g, p, memo=None: not is_in_wp_localization(g, p, memo))
+
+
+def zero_alpha2(monkeypatch):
+    """Make the complement-side alpha = 2 level reject every p, so each
+    alpha = 2 member yields an alpha2 record."""
+    monkeypatch.setattr("wellcov.verify.alpha2_check", lambda h: 0)
+
+
+def break_codec(monkeypatch):
+    """Make every graph6 round trip of more than one vertex come back
+    as another graph."""
+    monkeypatch.setattr("wellcov.verify.decode", lambda g6: Graph(1, (0,)))
+
+
+def count_theorem_reports(monkeypatch) -> list:
+    """The p values of each `theorem_reports` call the checks make."""
+    calls = []
+    original = verify.theorem_reports
+
+    def counting(g, p_values, **kwargs):
+        calls.append(tuple(p_values))
+        return original(g, p_values, **kwargs)
+    monkeypatch.setattr(verify, "theorem_reports", counting)
+    return calls
 
 
 class TestPerGraphChecks:
@@ -87,6 +115,43 @@ class TestPerGraphChecks:
         recs = corollary_discrepancies(c5, (1, 2))
         assert [rec["check"] for rec in recs] == ["alpha2", "alpha2"]
         assert corollary_discrepancies(c5, iter((1, 2))) == recs
+
+    def test_benchmark_call_forms_share_one_set_of_reports(self, c5, monkeypatch):
+        # the stream benchmark passes memo positionally to the first
+        # check and by keyword to the second, and reads the reports
+        # that the first fills in place
+        calls = count_theorem_reports(monkeypatch)
+        memo: dict = {}
+        reports: dict = {}
+        assert equivalence_discrepancies(c5, (1, 2, 3), memo, reports=reports) == []
+        assert calls == [(1, 2, 3)]
+        assert list(reports) == [1, 2, 3]
+        assert all(isinstance(rep, TheoremReport) and rep.p == p
+                   for p, rep in reports.items())
+        filled = dict(reports)
+        assert corollary_discrepancies(c5, (1, 2, 3), memo=memo, reports=reports) == []
+        assert calls == [(1, 2, 3)]
+        assert reports == filled
+
+    def test_check_graph_orders_codec_equivalence_corollaries(self, c5, monkeypatch):
+        zero_alpha2(monkeypatch)
+        break_codec(monkeypatch)
+        flip_localization(monkeypatch)
+        calls = count_theorem_reports(monkeypatch)
+        records, reports = check_graph(c5, iter((1, 2)), {})
+        # c5 is in W_1 and W_2 with alpha 2
+        assert [(rec["check"], rec.get("p")) for rec in records] == [
+            ("codec", None), ("deciders", 1), ("deciders", 2), ("alpha2", 1), ("alpha2", 2)]
+        assert calls == [(1, 2)]
+        assert reports == theorem_reports(c5, (1, 2))
+
+    def test_check_graph_past_the_oracle_guard(self):
+        # C_11 is not well-covered, so every route rejects it at p = 1
+        g = generate("cycle:n=11").graph
+        with pytest.raises(OracleSizeError):
+            check_graph(g, (1,), {})
+        records, reports = check_graph(g, (1,), {}, allow_large=True)
+        assert records == [] and not reports[1].oracle
 
     def test_profiles_do_not_grow_with_p(self, c5, monkeypatch):
         # the p-independent ridge table is read once per graph, however
@@ -163,6 +228,33 @@ class TestSweep:
         # the edgeless graph lands in the trivial p = 1 cell
         assert sweep.find_hits[(4, 4, 1)] == ["C?"]
         assert (4, 1, 4) not in sweep.find_hits
+
+
+class TestScanRunsTheSweepJob:
+    """`wellcov scan --exhaustive n` and the sweep both run
+    `check_graph`, so a scan reports the sweep's records of order n, in
+    the same order, apart from the scan's `where` key."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("patch", [flip_localization, zero_alpha2, break_codec],
+                             ids=["deciders", "alpha2", "codec"])
+    def test_scan_records_equal_the_sweep_records(self, n, patch, monkeypatch, capsys):
+        patch(monkeypatch)
+        assert cli.main(["scan", "--exhaustive", str(n), "--json"]) == cli.EXIT_VIOLATIONS
+        body = json.loads(capsys.readouterr().out)
+        scanned = [{key: value for key, value in rec.items() if key != "where"}
+                   for rec in body["discrepancies"]]
+        swept = [rec for rec in sweep_catalog(n).records if rec["n"] == n]
+        assert swept
+        assert scanned == swept
+
+    def test_one_scan_runs_both_check_groups(self, monkeypatch, capsys):
+        flip_localization(monkeypatch)
+        zero_alpha2(monkeypatch)
+        assert cli.main(["scan", "--exhaustive", "4", "--json"]) == cli.EXIT_VIOLATIONS
+        body = json.loads(capsys.readouterr().out)
+        assert body["mode"] == "check"
+        assert {rec["check"] for rec in body["discrepancies"]} == {"deciders", "alpha2"}
 
 
 def traced_sweep(max_n):

@@ -28,7 +28,6 @@ from wellcov import (
     is_in_wp_localization,
     is_in_wp_oracle,
     is_in_wp_ridge,
-    localization,
     main_theorem_report,
     non_critical_edge,
     theorem_reports,
@@ -302,7 +301,7 @@ def local_index_by_subgraphs(g: Graph, memo: dict) -> int:
         return hit
     alpha = independence_number(g)
     if alpha == 1:
-        result = g.n if g.is_complete() else 0
+        result = g.n if _naive.is_complete(g) else 0
     else:
         result = g.n
         full = (1 << g.n) - 1
@@ -371,9 +370,9 @@ class TestLocalization:
         for g in small_catalog(5):
             alpha = independence_number(g)
             for v in range(g.n):
-                sub = localization(g, VertexSet.of(g.n, [v]))
+                sub = _naive.localization(g, (v,))
                 if sub is not None:
-                    assert independence_number(sub.graph) <= alpha - 1
+                    assert independence_number(sub) <= alpha - 1
 
     def test_members_drop_alpha_exactly_one(self):
         for g in small_catalog(5):
@@ -381,12 +380,12 @@ class TestLocalization:
                 continue
             alpha = independence_number(g)
             for v in range(g.n):
-                sub = localization(g, VertexSet.of(g.n, [v]))
+                sub = _naive.localization(g, (v,))
                 if alpha == 1:
                     assert sub is None
                 else:
                     assert sub is not None
-                    assert independence_number(sub.graph) == alpha - 1
+                    assert independence_number(sub) == alpha - 1
 
 
 class TestEdgeScan:
