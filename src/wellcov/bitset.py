@@ -15,6 +15,17 @@ from typing import Iterable, Iterator
 MAX_UNIVERSE = 512
 
 
+def members(mask: int) -> tuple[int, ...]:
+    """The vertices of a mask, ascending.  Nothing is validated, so code
+    that only reads a raw mask's vertices need not build a VertexSet."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @dataclass(frozen=True, slots=True)
 class VertexSet:
     universe: int
@@ -39,11 +50,7 @@ class VertexSet:
         return 0 <= v < self.universe and (self.bits >> v) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(members(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -55,7 +62,7 @@ class VertexSet:
         return VertexSet(self.universe, self.bits ^ (1 << self.universe) - 1)
 
     def to_tuple(self) -> tuple[int, ...]:
-        return tuple(self)
+        return members(self.bits)
 
     def __repr__(self) -> str:
         return f"VertexSet({self.universe}, {{{', '.join(map(str, self))}}})"

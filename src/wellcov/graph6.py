@@ -1,4 +1,4 @@
-"""graph6 codec for the Graph type.
+"""graph6 codec for the Graph type, and the colex pair mask it rests on.
 
 One graph per text line.  A line is the vertex count (one byte for
 n <= 62, a '~' prefixed three-byte form above that) followed by the
@@ -6,6 +6,12 @@ upper triangle of the adjacency matrix in colexicographic pair order,
 packed six bits per printable byte (offset 63).  The optional
 '>>graph6<<' header is tolerated and stripped.  Encoding is canonical:
 shortest count form, zero padding bits, no header.
+
+The body is the graph's pair mask: bit k of the mask is pair k of the
+colex order (0,1), (0,2), (1,2), (0,3), ...  `pair_mask` and
+`from_pair_mask` are the only code that knows that order.  The codec
+packs and unpacks the mask through its binary string, in time linear in
+the body, and the catalog builds its graphs from masks.
 """
 
 from __future__ import annotations
@@ -30,8 +36,42 @@ class Graph6Error(ValueError):
         self.code = code
 
 
+# the six bits of a body byte's value, highest first, and back to the byte
+_BITS_OF = tuple(f"{v:06b}" for v in range(64))
+_BYTE_OF = {bits: chr(v + 63) for v, bits in enumerate(_BITS_OF)}
+
+
+def pair_count(n: int) -> int:
+    return n * (n - 1) // 2
+
+
 def _body_len(n: int) -> int:
-    return (n * (n - 1) // 2 + 5) // 6
+    return (pair_count(n) + 5) // 6
+
+
+def pair_mask(g: Graph) -> int:
+    """g's edges as a mask over the vertex pairs in colex order."""
+    mask = 0
+    for v in range(1, g.n):
+        # column v: the pairs (u, v), u < v
+        mask |= (g.adj[v] & (1 << v) - 1) << v * (v - 1) // 2
+    return mask
+
+
+def from_pair_mask(n: int, mask: int) -> Graph:
+    """The graph on n vertices whose colex pair mask is mask; bits past
+    the last pair are ignored."""
+    rows = [0] * n
+    for v in range(1, n):
+        col = mask & (1 << v) - 1
+        mask >>= v
+        rows[v] |= col
+        bit = 1 << v
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
+    return Graph(n, tuple(rows))
 
 
 def decode(line: str) -> Graph:
@@ -69,32 +109,21 @@ def decode(line: str) -> Graph:
     if len(body) > need:
         raise Graph6Error(TRAILING, f"{len(body) - need} trailing bytes after adjacency data")
 
-    rows = [0] * n
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if (body[k // 6] >> 5 - k % 6) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            k += 1
-    return Graph(n, tuple(rows))
+    # bits[k] is pair k; the padding bits past the last pair are dropped
+    bits = "".join([_BITS_OF[value] for value in body])[:pair_count(n)]
+    return from_pair_mask(n, int(bits[::-1] or "0", 2))
 
 
 def encode(g: Graph) -> str:
     n = g.n
     if n <= 62:
-        head = [n + 63]
+        head = chr(n + 63)
     else:
-        head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    chunks = [0] * _body_len(n)
-    k = 0
-    for v in range(1, n):
-        row = g.adj[v]
-        for u in range(v):
-            if (row >> u) & 1:
-                chunks[k // 6] |= 1 << 5 - k % 6
-            k += 1
-    return "".join(chr(c) for c in head) + "".join(chr(c + 63) for c in chunks)
+        head = "~" + chr((n >> 12) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
+    # bits[k] is pair k, then zero padding up to whole bytes
+    width = 6 * _body_len(n)
+    bits = f"{pair_mask(g):0{width}b}"[::-1]
+    return head + "".join([_BYTE_OF[bits[i:i + 6]] for i in range(0, width, 6)])
 
 
 def iter_stream(lines: Iterable[str]) -> Iterator[tuple[int, Graph | Graph6Error]]:

@@ -9,20 +9,18 @@ pure, since any maximum independent set contains one.
 
 One enumeration engine serves both sides of complementation: maximal
 independent sets are the maximal cliques of the complement, found by
-pivoting branch-and-bound on bitmask rows, and independent sets of a
-fixed size are the cliques of that size in the complement.
+pivoting branch-and-bound on bitmask rows.
 `maximal_clique_masks` takes bitmask rows, so the clique side of
 `saturation` calls it directly on a graph's own rows.  It is the one
 facet producer: the facets of g and the maximal cliques of
 complement(g) are one table, read by `maximal_independent_set_masks(g)`
 and by `saturation.maximal_clique_sizes_uniform(complement(g))` alike.
 
-`profile` does not read a fixed-size table: it grows the ridges on g's
-own rows and carries the vertices outside each set's closed
-neighbourhood down the recursion, so each leaf is a ridge with its
-fiber.  The minimum clique codegree and condition (c) of the theorem
-report run enumerations of their own, so the W-index and its dual share
-none.
+`profile` grows the ridges on g's own rows and carries the vertices
+outside each set's closed neighbourhood down the recursion, so each
+leaf is a ridge with its fiber.  The minimum clique codegree and
+condition (c) of the theorem report run enumerations of their own, so
+the W-index and its dual share none.
 
 `alpha_within` is the alpha kernel.  It works on bitmask rows and a
 mask of allowed vertices, so the criticality and recursion routes ask
@@ -46,9 +44,10 @@ same one-entry cache without being tables: `graphs.complement`, whose
 rows the facet table reads, `independence_number`, which several
 routes ask of the same graph, and `saturation.min_clique_codegree`,
 which three routes ask of the same complement.
-`clique_masks_of_size` and `independent_set_masks` are not cached: no
-graph job asks the first, and the oracle reads the second once per
+`independent_set_masks` is not cached: the oracle reads it once per
 graph, into a superset table that it keeps across p itself.
+`independent_masks_of_size` is only a size filter over that table, kept
+because the benchmark tracer lists it; no route calls it.
 """
 
 from __future__ import annotations
@@ -102,29 +101,6 @@ def maximal_clique_masks(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def clique_masks_of_size(rows: Sequence[int], n: int, k: int) -> tuple[int, ...]:
-    """All cliques of size exactly k of the graph given by bitmask rows,
-    as masks, ascending."""
-    if k == 0:
-        return (0,)
-    out: list[int] = []
-
-    def grow(mask: int, cand: int, need: int) -> None:
-        bits = cand
-        while bits.bit_count() >= need:
-            low = bits & -bits
-            bits ^= low
-            extended = mask | low
-            if need == 1:
-                out.append(extended)
-            else:
-                # bits keeps only higher vertices, so no set is built twice
-                grow(extended, bits & rows[low.bit_length() - 1], need - 1)
-    grow(0, (1 << n) - 1, k)
-    out.sort()
-    return tuple(out)
-
-
 def maximal_independent_set_masks(g: Graph) -> tuple[int, ...]:
     """Maximal independent sets as bitmasks, ascending (colex order)."""
     return maximal_clique_masks(complement(g).adj, g.n)
@@ -151,7 +127,7 @@ def independent_set_masks(g: Graph) -> tuple[int, ...]:
 
 def independent_masks_of_size(g: Graph, k: int) -> tuple[int, ...]:
     """Independent sets of size exactly k as bitmasks, ascending."""
-    return clique_masks_of_size(complement(g).adj, g.n, k)
+    return tuple(m for m in independent_set_masks(g) if m.bit_count() == k)
 
 
 def alpha_within(rows: Sequence[int], allowed: int, target: int | None = None) -> int:

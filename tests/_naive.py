@@ -169,3 +169,18 @@ def first_unextendable(g: Graph, p: int):
         if pairwise_disjoint(family) and not extends(family, maximum):
             return family
     return None
+
+
+def graph6(g: Graph) -> str:
+    """The graph6 line of g, from the format description: N(n), then
+    R(x) for x the upper triangle of the adjacency matrix read column by
+    column, a[0][1], a[0][2], a[1][2], a[0][3], ..., padded with zeros to
+    a multiple of six, six bits to a byte with the first bit highest;
+    every byte is offset by 63.  N(n) is n for n <= 62, else 63 and n as
+    18 bits in three bytes."""
+    n = g.n
+    count = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    x = [1 if g.has_edge(i, j) else 0 for j in range(n) for i in range(j)]
+    x += [0] * (-len(x) % 6)
+    body = [sum(bit << 5 - t for t, bit in enumerate(x[k:k + 6])) for k in range(0, len(x), 6)]
+    return "".join(chr(b + 63) for b in count + body)

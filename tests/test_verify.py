@@ -430,16 +430,16 @@ class TestTableCache:
         # own enumeration, so the W-index duality compares two that
         # share nothing
         calls = []
-        original = independence.clique_masks_of_size
+        original = independence.independent_masks_of_size
 
         def counting(*args):
             calls.append(args)
             return original(*args)
         holders = [mod for name, mod in sys.modules.items()
                    if name.startswith("wellcov.")
-                   and getattr(mod, "clique_masks_of_size", None) is original]
+                   and getattr(mod, "independent_masks_of_size", None) is original]
         for mod in holders:
-            monkeypatch.setattr(mod, "clique_masks_of_size", counting)
+            monkeypatch.setattr(mod, "independent_masks_of_size", counting)
         assert sweep_catalog(5).ok
         for spec in ANALYZE_SPECS:
             assert cli.main(["analyze", spec]) == 0

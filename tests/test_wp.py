@@ -30,12 +30,13 @@ from wellcov import (
     is_in_wp_ridge,
     main_theorem_report,
     non_critical_edge,
+    profile,
     theorem_reports,
     w_index,
     wp_oracle_counterexample,
 )
 from wellcov import wp
-from wellcov.bitset import VertexSet
+from wellcov.bitset import VertexSet, members
 from wellcov.catalog import labeled_graphs
 
 from tests import _naive
@@ -437,6 +438,44 @@ def naive_fiber_level(g: Graph) -> tuple[int, dict | None]:
     return len(fiber), {"kind": "thin_fiber", "ridge": ridge, "fiber": list(fiber)}
 
 
+def naive_ridge_level(g: Graph) -> tuple[int, dict]:
+    """Condition (b) from the naive ridge table: 0 with the smallest
+    maximal independent set (least mask among the smallest) unless g is
+    well-covered, 0 with the first edge in no ridge's fiber, else the
+    thinnest fiber's size with the first ridge in mask order that has
+    it."""
+    well_covered, table = _naive.ridge_table(g)
+    if not well_covered:
+        for level in _naive.independent_sets_by_size(g):
+            maximal = [vs for vs in level if not _naive.outside_closed_neighbourhood(g, vs)]
+            if maximal:
+                facet = min(maximal, key=lambda vs: sum(1 << v for v in vs))
+                return 0, {"kind": "impure_complex", "facet": facet}
+    for u, v in g.edges():
+        if not any(u in fiber and v in fiber for _, fiber in table):
+            return 0, {"kind": "missing_edge_outside_links", "edge": (u, v)}
+    ridge, fiber = min(table, key=lambda row: len(row[1]))
+    return len(fiber), {"kind": "thin_ridge", "ridge": ridge, "degree": len(fiber)}
+
+
+class TestRidgeConditionAgainstNaive:
+    """Condition (b) tests each edge against the distinct fibers of the
+    ridge table; its level and witness must match the ridges and fibers
+    found by definition."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        assert wp._cond_b(g, profile(g)) == naive_ridge_level(g)
+
+    def test_catalog_n6(self):
+        for g in small_catalog(6):
+            self.check(g)
+
+    @pytest.mark.parametrize("spec", ANALYZE_SPECS)
+    def test_families(self, spec):
+        self.check(generate(spec).graph)
+
+
 class TestFiberConditionAgainstNaive:
     """Condition (c) reads its ridges and fibers off the maximum-set
     table; its level and witness must match fibers found by definition."""
@@ -482,10 +521,10 @@ class TestTheoremReport:
                 assert main_theorem_report(g, p).all_equal
 
     def test_witness_sets_are_vertex_set_tuples(self):
-        # every witness set is built from a mask as VertexSet built it
+        # witnesses and VertexSet both read their vertices off members
         for n in range(11):
             for mask in range(1 << n):
-                assert wp._members(mask) == VertexSet(n, mask).to_tuple()
+                assert members(mask) == tuple(v for v in range(n) if mask >> v & 1)
 
     def test_witness_exactly_when_failing_n5(self):
         thinness = {
