@@ -18,9 +18,13 @@ and by `saturation.maximal_clique_sizes_uniform(complement(g))` alike.
 
 `profile` grows the ridges on g's own rows and carries the vertices
 outside each set's closed neighbourhood down the recursion, so each
-leaf is a ridge with its fiber.  The minimum clique codegree and
-condition (c) of the theorem report run enumerations of their own, so
-the W-index and its dual share none.
+leaf is a ridge with its fiber.  It keeps a summary, not the per-ridge
+table: the distinct fibers, the least fiber size and the first ridge
+in colex order with a fiber that small.  A subtree's summary depends
+only on the masks its node carries, so one memo keyed on them, made
+for each call and dropped with it, grows each distinct subtree once.
+The minimum clique codegree and condition (c) of the theorem report
+run enumerations of their own, so the W-index and its dual share none.
 
 `alpha_within` is the alpha kernel.  It works on bitmask rows and a
 mask of allowed vertices, so the criticality and recursion routes ask
@@ -210,43 +214,62 @@ def is_well_covered(g: Graph) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class IndependenceProfile:
-    """The ridge table of a graph, held as bitmasks.
+    """The facets of a graph and a summary of its ridges, as bitmasks.
 
-    facets are the maximal independent sets and ridges the independent
-    sets of size alpha - 1, each ascending; fibers[i] is the fiber of
-    ridges[i].
+    facets are the maximal independent sets, ascending.  fibers is the
+    set of distinct ridge fibers, min_fiber_size the least fiber size,
+    and thin_ridge the first ridge in colex order whose fiber has that
+    size.  The per-ridge table is not kept: the routes read only these.
     """
 
     alpha: int
     facets: tuple[int, ...]
     is_pure: bool
-    ridges: tuple[int, ...]
-    fibers: tuple[int, ...]
-
-    @property
-    def min_fiber_size(self) -> int:
-        return min(f.bit_count() for f in self.fibers)
+    fibers: frozenset[int]
+    min_fiber_size: int
+    thin_ridge: int
 
 
 def _grow_ridges(
-    rows: tuple[int, ...], ridge: int, free: int, below: int, need: int,
-    ridges: list[int], fibers: list[int],
-) -> None:
-    """Append every independent set that adds need vertices of below to
-    ridge, highest vertex first, with the vertices outside its closed
-    neighbourhood.  free: the vertices outside ridge's closed
-    neighbourhood; below: those under ridge's lowest vertex.
+    rows: tuple[int, ...], free: int, below: int, need: int,
+    fibers: set[int], memo: dict[tuple[int, int, int], tuple[int, int]],
+) -> tuple[int, int]:
+    """(least fiber size, suffix of the first ridge with that fiber) over
+    the independent sets that add need vertices of below to a set,
+    highest vertex first; (len(rows) + 1, 0) when there are none.  free:
+    the vertices outside that set's closed neighbourhood; below: those
+    of free under its lowest vertex.  Each leaf's fiber goes into fibers.
+
+    The subtree depends only on (free, below, need): which vertices can
+    still be picked, and each leaf's fiber, free less the closed
+    neighbourhoods of the picks.  So memo, keyed on those masks, holds
+    each state's answer for the rest of one `profile` call, and a state
+    met again adds no fiber that is not in fibers already.  The last
+    level, one pass over below, is not stored: on small graphs, where
+    states rarely repeat, the lookups would cost more than they save.
+    The suffix is the picked vertices; the set above it is the caller's.
+    Children go in colex order and a later one wins only with a strictly
+    smaller fiber, so the suffix is that of the first thin ridge in
+    colex order.
 
     A module-level function, not a closure: a closure that calls itself
-    is a reference cycle, which would keep both lists alive until the
-    cyclic collector runs."""
+    is a reference cycle, which would keep the set and the memo alive
+    until the cyclic collector runs."""
+    least, thin = len(rows) + 1, 0
     if need == 1:
         while below:
             low = below & -below
             below ^= low
-            ridges.append(ridge | low)
-            fibers.append(free & ~rows[low.bit_length() - 1] & ~low)
-        return
+            f = free & ~rows[low.bit_length() - 1] & ~low
+            fibers.add(f)
+            size = f.bit_count()
+            if size < least:
+                least, thin = size, low
+        return least, thin
+    key = (free, below, need)
+    found = memo.get(key)
+    if found is not None:
+        return found
     # the need - 1 lowest of below can only be picked further down
     for _ in range(need - 1):
         below &= below - 1
@@ -254,34 +277,44 @@ def _grow_ridges(
         low = below & -below
         below ^= low
         rest = free & ~rows[low.bit_length() - 1] & ~low
-        _grow_ridges(rows, ridge | low, rest, rest & (low - 1), need - 1, ridges, fibers)
+        size, suffix = _grow_ridges(rows, rest, rest & (low - 1), need - 1, fibers, memo)
+        if size < least:
+            least, thin = size, suffix | low
+    memo[key] = found = (least, thin)
+    return found
 
 
 @lru_cache(maxsize=1)
 def profile(g: Graph) -> IndependenceProfile:
-    """Facets, purity, and every ridge with its fiber, in colex order.
+    """Facets, purity, and the fibers, least fiber size and first thin
+    ridge of the ridges in colex order.
 
-    The ridges are enumerated on g's own rows, highest vertex first and
-    each level ascending, which is colex order with no sort.  Each node
+    The ridges are grown on g's own rows, highest vertex first and each
+    level ascending, which is colex order with no sort.  Each node
     carries the vertices outside its set's closed neighbourhood: that
     mask is both the candidates left below the last vertex and, at a
-    leaf, the ridge's fiber, so a ridge costs one step at its leaf.
+    leaf, the ridge's fiber.  One memo, on the masks each node carries,
+    lives for this call, so a subtree reached again along another
+    prefix is read back instead of grown; the Moon-Moser graphs rK3
+    have r * 3^(r-1) ridges but few distinct states.
     """
     facets = maximal_independent_set_masks(g)
     alpha = max(m.bit_count() for m in facets)
     full = (1 << g.n) - 1
+    fibers: set[int] = set()
     if alpha == 1:
         # the one empty ridge; every vertex completes it
-        ridges, fibers = [0], [full]
+        fibers.add(full)
+        least, thin = g.n, 0
     else:
-        ridges, fibers = [], []
-        _grow_ridges(g.adj, 0, full, full, alpha - 1, ridges, fibers)
+        least, thin = _grow_ridges(g.adj, full, full, alpha - 1, fibers, {})
     return IndependenceProfile(
         alpha=alpha,
         facets=facets,
         is_pure=all(m.bit_count() == alpha for m in facets),
-        ridges=tuple(ridges),
-        fibers=tuple(fibers),
+        fibers=frozenset(fibers),
+        min_fiber_size=least,
+        thin_ridge=thin,
     )
 
 

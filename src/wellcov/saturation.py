@@ -24,43 +24,64 @@ HOLDS = "holds"
 VIOLATION = "violation"
 
 
-def _contains_clique(rows: Sequence[int], within: int, t: int) -> bool:
-    """Does the vertex mask `within` contain a clique of size t?"""
-    if t == 0:
-        return True
+def _contains_clique(
+    rows: Sequence[int], within: int, t: int, memo: dict[tuple[int, int], bool]
+) -> bool:
+    """Does the vertex mask `within` contain a clique of size t?
+
+    The answer depends only on (within, t), so memo, keyed on both,
+    holds it for the rest of the caller's call: the searches of one
+    graph at several sizes, or inside several common neighbourhoods,
+    meet the same subproblems.  Sizes 0 and 1 are read off the mask."""
+    if t <= 1:
+        return t == 0 or within != 0
+    key = (within, t)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    found = False
     bits = within
     while bits.bit_count() >= t:
         low = bits & -bits
         bits ^= low
         # bits now holds only later vertices, so each clique is tried
         # once, from its smallest vertex up
-        if _contains_clique(rows, bits & rows[low.bit_length() - 1], t - 1):
-            return True
-    return False
+        if _contains_clique(rows, bits & rows[low.bit_length() - 1], t - 1, memo):
+            found = True
+            break
+    memo[key] = found
+    return found
 
 
 def is_kt_free(h: Graph, t: int) -> bool:
     if t < 1:
         raise ValueError("clique size must be at least 1")
-    return not _contains_clique(h.adj, (1 << h.n) - 1, t)
+    return not _contains_clique(h.adj, (1 << h.n) - 1, t, {})
 
 
 def is_kt_saturated(h: Graph, t: int) -> bool:
-    """K_t-free, and adding any missing edge creates a K_t."""
+    """K_t-free, and adding any missing edge creates a K_t.
+
+    The K_t search and every missing edge's K_(t-2) search share one
+    memo for this call, keyed on (within, t), so a common neighbourhood
+    met again, or a vertex set the K_t search already settled, costs one
+    lookup."""
     if t < 2:
         raise ValueError("saturation needs a clique size of at least 2")
-    if not is_kt_free(h, t):
-        return False
     rows = h.adj
+    full = (1 << h.n) - 1
+    memo: dict[tuple[int, int], bool] = {}
+    if _contains_clique(rows, full, t, memo):
+        return False
     for u in range(h.n):
         # missing partners above u, so each non-edge is tried once
-        missing = ((1 << h.n) - 1) & ~rows[u] & ~((1 << u + 1) - 1)
+        missing = full & ~rows[u] & ~((1 << u + 1) - 1)
         while missing:
             low = missing & -missing
             missing ^= low
             v = low.bit_length() - 1
             # u,v plus a (t-2)-clique in their common neighborhood is a K_t
-            if not _contains_clique(rows, rows[u] & rows[v], t - 2):
+            if not _contains_clique(rows, rows[u] & rows[v], t - 2, memo):
                 return False
     return True
 
@@ -93,27 +114,41 @@ def min_clique_codegree(h: Graph, r: int) -> int:
 
     The cliques are grown on h's rows, lowest vertex first, and each
     node carries its clique's common neighbourhood, so a clique's
-    codegree costs one step at its leaf.  Cached on (h, r), one entry:
-    condition (d), the W-index duality and the Gorenstein complement
-    route ask it of the same complement."""
+    codegree costs one step at its leaf.  One memo on the masks each
+    node carries lives for this call, so a subtree reached again along
+    another clique is read back instead of grown.  Cached on (h, r),
+    one entry: condition (d), the W-index duality and the Gorenstein
+    complement route ask it of the same complement."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if r == 1:
         return h.n
     full = (1 << h.n) - 1
-    # h.n + 1 is above any codegree, so it survives only when no clique exists
-    best = _min_codegree(h.adj, full, full, r - 1, h.n + 1)
+    best = _min_codegree(h.adj, full, full, r - 1, {})
     if best > h.n:
         raise ValueError(f"no cliques of size {r - 1}")
     return best
 
 
-def _min_codegree(rows: tuple[int, ...], common: int, above: int, need: int, best: int) -> int:
-    """The least of best and the codegrees of the cliques that add need
-    vertices of above to a clique with common neighbourhood common;
-    above holds the common neighbours over that clique's highest vertex.
-    The rows have no loops, so no member is in its own row and the
-    common neighbourhood of a clique already excludes the clique."""
+def _min_codegree(
+    rows: tuple[int, ...], common: int, above: int, need: int,
+    memo: dict[tuple[int, int, int], int],
+) -> int:
+    """The least codegree of the cliques that add need vertices of above
+    to a clique with common neighbourhood common; above holds the common
+    neighbours over that clique's highest vertex.  len(rows) + 1, which
+    is above any codegree, when there is no such clique.  The rows have
+    no loops, so no member is in its own row and the common
+    neighbourhood of a clique already excludes the clique.
+
+    The subtree depends only on (common, above, need): which vertices
+    can still be picked, and each leaf's codegree, the common
+    neighbourhood less the picks' non-neighbours.  So memo, keyed on
+    those masks, holds each state's least codegree for the rest of one
+    `min_clique_codegree` call.  The last level, one pass over above, is
+    not stored: on small graphs, where states rarely repeat, the lookups
+    would cost more than they save."""
+    best = len(rows) + 1
     if need == 1:
         while above:
             low = above & -above
@@ -122,11 +157,18 @@ def _min_codegree(rows: tuple[int, ...], common: int, above: int, need: int, bes
             if codegree < best:
                 best = codegree
         return best
+    key = (common, above, need)
+    found = memo.get(key)
+    if found is not None:
+        return found
     while above.bit_count() >= need:
         low = above & -above
         above ^= low
         row = rows[low.bit_length() - 1]
-        best = _min_codegree(rows, common & row, above & row, need - 1, best)
+        codegree = _min_codegree(rows, common & row, above & row, need - 1, memo)
+        if codegree < best:
+            best = codegree
+    memo[key] = best
     return best
 
 

@@ -50,7 +50,11 @@ The sharing rule, precisely:
     builders of `independence` (the facet table and `profile`),
     `graphs.complement`, `independence_number` and
     `saturation.min_clique_codegree`.  No verdict is cached, and the
-    oracle's superset table lives only for one call of its front.
+    oracle's superset table lives only for one call of its front.  The
+    memos of the ridge, codegree and clique recursions live for one
+    call of `profile`, `min_clique_codegree`, `is_kt_free` or
+    `is_kt_saturated`, keyed on the masks each recursion carries; they
+    hold subproblem answers of one primitive, never a verdict.
   * The two sides of the W-index duality enumerate apart: `profile`
     grows ridges on g's rows, `min_clique_codegree` grows cliques on
     the complement's rows, and condition (c) reads its fibers off the
@@ -322,7 +326,7 @@ def is_alpha_critical_fibers(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     """Criticality via the fiber cover: every edge must lie inside some
     ridge's fiber.  Returns the first uncovered edge as witness."""
     # many ridges share a fiber: 17,496 ridges of 8K3 have 8 fibers
-    fibers = set(profile(g).fibers)
+    fibers = profile(g).fibers
     for u, v in g.edges():
         pair = 1 << u | 1 << v
         if not any(pair & f == pair for f in fibers):
@@ -386,15 +390,13 @@ def _cond_b(g: Graph, prof: IndependenceProfile) -> tuple[int, dict]:
         small = min(prof.facets, key=int.bit_count)
         return 0, {"kind": "impure_complex", "facet": members(small)}
     # many ridges share a fiber: 17,496 ridges of 8K3 have 8 fibers
-    fibers = set(prof.fibers)
     for u, v in g.edges():
         pair = 1 << u | 1 << v
-        if not any(pair & f == pair for f in fibers):
+        if not any(pair & f == pair for f in prof.fibers):
             return 0, {"kind": "missing_edge_outside_links", "edge": (u, v)}
     # the ridge's link has exactly the fiber as vertex set
     degree = prof.min_fiber_size
-    thin = next(s for s, f in zip(prof.ridges, prof.fibers) if f.bit_count() == degree)
-    return degree, {"kind": "thin_ridge", "ridge": members(thin), "degree": degree}
+    return degree, {"kind": "thin_ridge", "ridge": members(prof.thin_ridge), "degree": degree}
 
 
 def _cond_c(g: Graph) -> tuple[int, dict]:

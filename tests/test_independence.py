@@ -6,7 +6,8 @@ checked against naive alpha on every allowed mask of the n <= 5
 catalog, with and without a target, and against the maximal-set engine
 on the n <= 6 catalog, the named families with their edge deletions and
 localizations, and seeded random graphs; its search is held to a call
-budget.
+budget, and so are the memoized ridge, codegree and clique recursions
+on disjoint triangles.
 """
 
 import random
@@ -22,12 +23,14 @@ from wellcov import (
     fiber,
     generate,
     independence_number,
+    is_kt_saturated,
     is_well_covered,
     maximal_clique_sizes_uniform,
+    min_clique_codegree,
     non_critical_edge,
     profile,
 )
-from wellcov import independence
+from wellcov import independence, saturation
 from wellcov.catalog import labeled_graphs
 from wellcov.independence import (
     alpha_within,
@@ -94,14 +97,19 @@ class TestAgainstNaive:
 
 
 def assert_profile_matches_naive(g: Graph) -> None:
-    """The ridge recursion against the table of independent sets of
-    alpha - 1 vertices and the closed neighbourhood of each."""
+    """The ridge recursion's summary against the table of independent
+    sets of alpha - 1 vertices and the closed neighbourhood of each: the
+    distinct fibers, the least fiber size, and the first ridge in mask
+    order with a fiber that small."""
     prof = profile(g)
     well_covered, table = _naive.ridge_table(g)
     assert prof.alpha == len(table[0][0]) + 1
     assert prof.is_pure == well_covered
-    assert list(prof.ridges) == [sum(1 << v for v in vs) for vs, _ in table]
-    assert list(prof.fibers) == [sum(1 << x for x in fiber) for _, fiber in table]
+    rows = [(sum(1 << v for v in vs), sum(1 << x for x in fiber)) for vs, fiber in table]
+    assert prof.fibers == {f for _, f in rows}
+    least = min(f.bit_count() for _, f in rows)
+    assert prof.min_fiber_size == least
+    assert prof.thin_ridge == min(s for s, f in rows if f.bit_count() == least)
 
 
 def alpha_by_facets(g: Graph) -> int:
@@ -161,21 +169,26 @@ class TestAlphaKernel:
             assert independence_number(g) == alpha_by_facets(g)
 
 
-def grow_calls(route, g: Graph) -> int:
-    """Frames of the kernel's inner search entered by one call route(g)."""
+def frames_entered(module, name: str, call) -> int:
+    """Frames of the function called name in module entered by call()."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        if (event == "call" and frame.f_code.co_name == "grow"
-                and frame.f_code.co_filename == independence.__file__):
+        if (event == "call" and frame.f_code.co_name == name
+                and frame.f_code.co_filename == module.__file__):
             calls += 1
     sys.setprofile(count)
     try:
-        route(g)
+        call()
     finally:
         sys.setprofile(None)
     return calls
+
+
+def grow_calls(route, g: Graph) -> int:
+    """Frames of the kernel's inner search entered by one call route(g)."""
+    return frames_entered(independence, "grow", lambda: route(g))
 
 
 class TestAlphaWork:
@@ -205,6 +218,38 @@ class TestAlphaWork:
         assert grow_calls(non_critical_edge, generate("c7_blowup:q=4").graph) <= 1200
 
 
+class TestMemoWork:
+    """Frame budgets for the three memoized recursions on rK3, the
+    Moon-Moser graphs: r * 3^(r-1) ridges, and as many (r-1)-cliques of
+    the complement, grow from a few hundred distinct states.  Without
+    their memos the recursions opened 27,064 ridge, 27,064 codegree and
+    23,279 clique frames at r = 8, and 451,613, 451,613 and 289,464 at
+    r = 10.  Each test starts with empty caches."""
+
+    BUDGETS = {8: (450, 450, 220), 10: (1450, 1450, 380)}
+
+    @pytest.mark.parametrize("r", sorted(BUDGETS))
+    def test_ridges(self, r):
+        g = generate(f"disjoint_cliques:r={r},p=3").graph
+        frames = frames_entered(independence, "_grow_ridges", lambda: profile(g))
+        assert frames <= self.BUDGETS[r][0]
+        assert profile(g).min_fiber_size == 3
+
+    @pytest.mark.parametrize("r", sorted(BUDGETS))
+    def test_codegree(self, r):
+        h = complement(generate(f"disjoint_cliques:r={r},p=3").graph)
+        frames = frames_entered(saturation, "_min_codegree", lambda: min_clique_codegree(h, r))
+        assert frames <= self.BUDGETS[r][1]
+        assert min_clique_codegree(h, r) == 3
+
+    @pytest.mark.parametrize("r", sorted(BUDGETS))
+    def test_saturation(self, r):
+        h = complement(generate(f"disjoint_cliques:r={r},p=3").graph)
+        frames = frames_entered(saturation, "_contains_clique", lambda: is_kt_saturated(h, r + 1))
+        assert frames <= self.BUDGETS[r][2]
+        assert is_kt_saturated(h, r + 1)
+
+
 class TestOrdering:
     def test_masks_ascend(self, petersen):
         masks = maximal_independent_set_masks(petersen)
@@ -231,35 +276,42 @@ class TestProfile:
         assert prof.is_pure
         assert len(prof.facets) == 5
         # ridges of C_5 are its five vertices; each fiber is the
-        # nonneighbor pair
-        assert [VertexSet(5, m).to_tuple() for m in prof.ridges] == [
-            (0,), (1,), (2,), (3,), (4,)]
-        assert VertexSet(5, prof.fibers[0]).to_tuple() == (2, 3)
+        # nonneighbor pair, and the first ridge, (0,), has fiber (2, 3)
+        assert sorted(VertexSet(5, f).to_tuple() for f in prof.fibers) == [
+            (0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        assert VertexSet(5, prof.thin_ridge).to_tuple() == (0,)
         assert prof.min_fiber_size == 2
+        assert_profile_matches_naive(c5)
 
     def test_star_impure(self, star):
         prof = profile(star)
         assert prof.alpha == 3
         assert not prof.is_pure
-        # ridges exist regardless of purity
-        assert [VertexSet(4, m).to_tuple() for m in prof.ridges] == [
-            (1, 2), (1, 3), (2, 3)]
+        # ridges exist regardless of purity: (1, 2), (1, 3) and (2, 3),
+        # each completed by the third leaf alone
+        assert sorted(VertexSet(4, f).to_tuple() for f in prof.fibers) == [(1,), (2,), (3,)]
+        assert prof.min_fiber_size == 1
+        assert VertexSet(4, prof.thin_ridge).to_tuple() == (1, 2)
+        assert_profile_matches_naive(star)
 
     def test_complete_graph_single_empty_ridge(self):
         k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         prof = profile(k4)
         assert prof.alpha == 1
-        assert len(prof.ridges) == 1
-        assert VertexSet(4, prof.ridges[0]).to_tuple() == ()
-        assert VertexSet(4, prof.fibers[0]).to_tuple() == (0, 1, 2, 3)
+        assert VertexSet(4, prof.thin_ridge).to_tuple() == ()
+        assert [VertexSet(4, f).to_tuple() for f in prof.fibers] == [(0, 1, 2, 3)]
+        assert prof.min_fiber_size == 4
+        assert_profile_matches_naive(k4)
 
     def test_fiber_is_unconditional_complement_of_neighborhood(self):
         for g in small_catalog(5):
             prof = profile(g)
-            assert len(prof.fibers) == len(prof.ridges)
-            for s, f in zip(prof.ridges, prof.fibers):
-                outside = _naive.outside_closed_neighbourhood(g, VertexSet(g.n, s).to_tuple())
-                assert f == sum(1 << x for x in outside)
+            outside = {
+                vs: sum(1 << x for x in _naive.outside_closed_neighbourhood(g, vs))
+                for vs in _naive.independent_sets(g) if len(vs) == prof.alpha - 1}
+            assert prof.fibers == set(outside.values())
+            thin = VertexSet(g.n, prof.thin_ridge).to_tuple()
+            assert outside[thin].bit_count() == prof.min_fiber_size
 
     def test_fibers_induce_cliques(self):
         for g in small_catalog(5):

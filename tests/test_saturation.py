@@ -30,7 +30,8 @@ from wellcov import (
 )
 from wellcov.catalog import labeled_graphs
 from tests import _naive
-from tests._specs import ANALYZE_SPECS
+from tests._specs import ANALYZE_SPECS, STRUCTURED_SPECS
+from tests.test_independence import alpha_by_facets
 
 
 def small_catalog(max_n: int):
@@ -55,15 +56,27 @@ def naive_min_codegree(h: Graph, r: int) -> int:
 
 
 class TestSaturationAgainstNaive:
+    """One memo keyed on (vertex mask, clique size) serves a whole
+    saturation test, so every size a graph admits is checked."""
+
     def test_kt_free(self):
-        for g in small_catalog(5):
-            for t in (2, 3, 4):
+        for g in small_catalog(6):
+            for t in range(1, g.n + 2):
                 assert is_kt_free(g, t) == (not _naive.has_clique(g, t))
 
     def test_kt_saturated(self):
-        for g in small_catalog(5):
-            for t in (2, 3, 4):
+        for g in small_catalog(6):
+            for t in range(2, g.n + 2):
                 assert is_kt_saturated(g, t) == naive_saturated(g, t)
+
+    @pytest.mark.parametrize("spec", STRUCTURED_SPECS)
+    def test_clique_number_of_complement(self, spec):
+        # the clique number of the complement is alpha
+        g = generate(spec).graph
+        h = complement(g)
+        alpha = alpha_by_facets(g)
+        assert is_kt_free(h, alpha + 1)
+        assert not is_kt_free(h, alpha)
 
     def test_uniformity(self):
         for g in small_catalog(5):
