@@ -197,24 +197,30 @@ def lexicographic_product(g: Graph, q: int) -> Blowup:
     return Blowup(Graph(n, tuple(rows)), classes)
 
 
+def component_masks(rows: Sequence[int], flip: int = 0) -> tuple[int, ...]:
+    """The vertex masks of the components of the graph given by bitmask
+    rows, ordered by smallest member.
+
+    With flip the full vertex mask, each row is read complemented, so the
+    masks are the co-components: the graph is the join of the subgraphs
+    they induce.  A vertex's own bit is already seen when its row is
+    read, so the loop needs no other change."""
+    rest = (1 << len(rows)) - 1
+    out = []
+    while rest:
+        unseen = rest
+        frontier = rest & -rest
+        rest ^= frontier
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach = rest & (rows[low.bit_length() - 1] ^ flip)
+            rest ^= reach
+            frontier |= reach
+        out.append(unseen ^ rest)
+    return tuple(out)
+
+
 def connected_components(g: Graph) -> tuple[VertexSet, ...]:
     """Components as vertex sets, ordered by smallest member."""
-    seen = 0
-    full = (1 << g.n) - 1
-    out = []
-    while seen != full:
-        start = (~seen & full) & -(~seen & full)
-        comp = start
-        frontier = start
-        while frontier:
-            reach = 0
-            bits = frontier
-            while bits:
-                low = bits & -bits
-                reach |= g.adj[low.bit_length() - 1]
-                bits ^= low
-            frontier = reach & ~comp
-            comp |= frontier
-        out.append(VertexSet(g.n, comp))
-        seen |= comp
-    return tuple(out)
+    return tuple(VertexSet(g.n, comp) for comp in component_masks(g.adj))

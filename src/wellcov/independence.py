@@ -12,9 +12,13 @@ independent sets are the maximal cliques of the complement, found by
 pivoting branch-and-bound on bitmask rows.
 `maximal_clique_masks` takes bitmask rows, so the clique side of
 `saturation` calls it directly on a graph's own rows.  It is the one
-facet producer: the facets of g and the maximal cliques of
-complement(g) are one table, read by `maximal_independent_set_masks(g)`
-and by `saturation.maximal_clique_sizes_uniform(complement(g))` alike.
+facet table: the facets of g and the maximal cliques of complement(g)
+are one table, read whole by `maximal_independent_set_masks(g)`, that
+is by the oracle, condition (c) and the impure witness of condition
+(b).  Sizes are read by `maximal_clique_size_range`: the least and
+largest maximal clique size, in one pass over that table, or per part
+when the rows' graph is a large join.  `is_well_covered`, `profile` and
+`saturation.maximal_clique_sizes_uniform` read only those two sizes.
 
 `profile` grows the ridges on g's own rows and carries the vertices
 outside each set's closed neighbourhood down the recursion, so each
@@ -25,6 +29,19 @@ only on the masks its node carries, so one memo keyed on them, made
 for each call and dropped with it, grows each distinct subtree once.
 The minimum clique codegree and condition (c) of the theorem report
 run enumerations of their own, so the W-index and its dual share none.
+
+The paper's invariants split over components.  The independence
+complex of G + H is the join of the parts' complexes: alpha and the
+facet sizes add, so purity holds part by part, and the ridges and
+fibers come from one part at a time.  `graphs.component_masks` is the
+one split.  The localization recursion of `wp` indexes each component
+on its own.  Above `ORACLE_VERTEX_LIMIT` vertices,
+`maximal_clique_size_range` also splits the complement's rows into
+co-components, which are g's components, `profile` grows each
+component's ridges on its own and `saturation.min_clique_codegree`
+searches each co-component.  Each states its lemma.  The Moon-Moser
+graphs rK3 have 3^r facets and r * 3^(r-1) ridges, but r triangles as
+parts.
 
 `alpha_within` is the alpha kernel.  It works on bitmask rows and a
 mask of allowed vertices, so the criticality and recursion routes ask
@@ -38,16 +55,18 @@ neighbourhood is a clique, since a maximum set then swaps its one
 vertex of N[v] for v.  Unions of cliques and their blow-ups, the sharp
 families of the theorem, then resolve with little or no branching.
 
-The builders in `TABLE_BUILDERS` cache one entry each, the table of the
-last graph asked.  Tables are immutable and depend only on `(n, adj)`
-or on `(rows, n)`.  A graph job asks `maximal_clique_masks` about its
-complement's rows only, and `profile` about g itself.  The routes checking
-one graph ask back to back and the next graph evicts the entry, so one
-entry per builder covers a graph's job.  Three shared values carry the
-same one-entry cache without being tables: `graphs.complement`, whose
-rows the facet table reads, `independence_number`, which several
-routes ask of the same graph, and `saturation.min_clique_codegree`,
-which three routes ask of the same complement.
+The builders in `TABLE_BUILDERS` cache one entry each, the value of
+the last graph asked.  Their values are immutable and depend only on
+`(n, adj)`, on `(rows, n)` or on the rows.  A graph job asks
+`maximal_clique_masks` and `maximal_clique_size_range` about its
+complement's rows only, and `profile` about g itself.  The routes
+checking one graph ask back to back and the next graph evicts the
+entry, so one entry per builder covers a graph's job.  Three shared
+values carry the same one-entry cache without being tables:
+`graphs.complement`, whose rows the facet table reads,
+`independence_number`, which several routes ask of the same graph, and
+`saturation.min_clique_codegree`, which three routes ask of the same
+complement.
 `independent_set_masks` is not cached: the oracle reads it once per
 graph, into a superset table that it keeps across p itself.
 `independent_masks_of_size` is only a size filter over that table, kept
@@ -61,17 +80,33 @@ from functools import lru_cache
 from typing import Sequence
 
 from .bitset import VertexSet
-from .graphs import Graph, complement
+from .graphs import Graph, complement, component_masks
+
+# The oracle's tuple enumeration is exponential, so `wp` refuses graphs
+# above this many vertices without an explicit opt-in.  Up to it, the
+# oracle reads the whole facet table of every graph it checks, and each
+# whole-graph enumeration is cheap next to its own, so the facet sizes,
+# `profile`'s ridges and `saturation.min_clique_codegree` split a
+# disconnected graph only above it.  Below it the splits cost more than
+# they saved: on the disconnected labeled graphs with n <= 6, `profile`
+# took 47 us instead of 15 and `min_clique_codegree` 15 us instead of 6,
+# and on the sparse disconnected graphs of the n = 8 benchmark stream
+# the facet-size split alone added 13 us to a 34 us `profile`.
+ORACLE_VERTEX_LIMIT = 10
 
 
-@lru_cache(maxsize=1)
-def maximal_clique_masks(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """All maximal cliques of the graph given by bitmask rows, as masks,
-    ascending.
+def split_parts(rows: Sequence[int], flip: int = 0) -> tuple[int, ...]:
+    """`graphs.component_masks(rows, flip)` above `ORACLE_VERTEX_LIMIT`
+    vertices, else the one mask of every vertex: the parts a route
+    enumerates apart."""
+    if len(rows) > ORACLE_VERTEX_LIMIT:
+        return component_masks(rows, flip)
+    return ((1 << len(rows)) - 1,)
 
-    Cached on its arguments, so the rows must be a tuple: the facets of
-    g's independence complex are the maximal cliques of its complement,
-    which the clique side asks for again."""
+
+def _maximal_cliques(rows: Sequence[int], within: int) -> list[int]:
+    """The maximal cliques of the graph the bitmask rows induce on the
+    vertex mask within, as masks, in the order the search finds them."""
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
@@ -100,9 +135,56 @@ def maximal_clique_masks(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
             expand(r | low, p & row, x & row)
             p ^= low
             x |= low
-    expand(0, (1 << n) - 1, 0)
-    out.sort()
-    return tuple(out)
+    expand(0, within, 0)
+    return out
+
+
+@lru_cache(maxsize=1)
+def maximal_clique_masks(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """All maximal cliques of the graph given by bitmask rows, as masks,
+    ascending.
+
+    Cached on its arguments, so the rows must be a tuple: the facets of
+    g's independence complex are the maximal cliques of its complement,
+    which the oracle and condition (c) both read."""
+    return tuple(sorted(_maximal_cliques(rows, (1 << n) - 1)))
+
+
+@lru_cache(maxsize=1)
+def maximal_clique_size_range(rows: tuple[int, ...]) -> tuple[int, int]:
+    """(least, largest) size of a maximal clique of the graph given by
+    bitmask rows.
+
+    Above `ORACLE_VERTEX_LIMIT` vertices a join is read part by part
+    (`_clique_size_range` gives the lemma), so the product table is
+    never built.  Otherwise both sizes come in one pass off the cached
+    `maximal_clique_masks` table, which the oracle and condition (c)
+    read too.  Cached on the rows, one entry: `is_well_covered`,
+    `profile` and `saturation.maximal_clique_sizes_uniform` ask it of
+    one graph's complement back to back."""
+    return _clique_size_range(rows, split_parts(rows, (1 << len(rows)) - 1))
+
+
+def _clique_size_range(rows: tuple[int, ...], parts: tuple[int, ...]) -> tuple[int, int]:
+    """(least, largest) maximal clique size of the graph given by rows.
+    parts is either the one mask of every vertex, read off the cached
+    table, or the masks of the graph's co-components.
+
+    The graph is then the join of the parts, and its maximal cliques are
+    the unions of one maximal clique per part: a clique meets each part
+    in a clique, and it is maximal exactly when each of those is maximal
+    in its part, since every vertex of one part sees all of the others.
+    So both sizes add over the parts, and each part's cliques are
+    enumerated on their own."""
+    if len(parts) == 1:
+        sizes = set(map(int.bit_count, maximal_clique_masks(rows, len(rows))))
+        return min(sizes), max(sizes)
+    least = largest = 0
+    for part in parts:
+        sizes = set(map(int.bit_count, _maximal_cliques(rows, part)))
+        least += min(sizes)
+        largest += max(sizes)
+    return least, largest
 
 
 def maximal_independent_set_masks(g: Graph) -> tuple[int, ...]:
@@ -208,22 +290,23 @@ def independence_number(g: Graph) -> int:
 
 def is_well_covered(g: Graph) -> bool:
     """True when every maximal independent set has the maximum size."""
-    sizes = {m.bit_count() for m in maximal_independent_set_masks(g)}
-    return len(sizes) == 1
+    least, largest = maximal_clique_size_range(complement(g).adj)
+    return least == largest
 
 
 @dataclass(frozen=True, slots=True)
 class IndependenceProfile:
-    """The facets of a graph and a summary of its ridges, as bitmasks.
+    """The facet sizes of a graph and a summary of its ridges, as
+    bitmasks.
 
-    facets are the maximal independent sets, ascending.  fibers is the
-    set of distinct ridge fibers, min_fiber_size the least fiber size,
-    and thin_ridge the first ridge in colex order whose fiber has that
-    size.  The per-ridge table is not kept: the routes read only these.
+    alpha is the largest facet size and is_pure says every facet has
+    it.  fibers is the set of distinct ridge fibers, min_fiber_size the
+    least fiber size, and thin_ridge the first ridge in colex order
+    whose fiber has that size.  Neither the facet table nor the
+    per-ridge table is kept: the routes read only these.
     """
 
     alpha: int
-    facets: tuple[int, ...]
     is_pure: bool
     fibers: frozenset[int]
     min_fiber_size: int
@@ -284,41 +367,103 @@ def _grow_ridges(
     return found
 
 
+def _ridges_within(
+    rows: tuple[int, ...], part: int, alpha: int, fibers: set[int],
+    memo: dict[tuple[int, int, int], tuple[int, int]],
+) -> tuple[int, int]:
+    """(least fiber size, first ridge with that fiber) over the ridges of
+    the graph the rows induce on the vertex mask part, whose
+    independence number is alpha.  Each fiber goes into fibers.  With
+    alpha 1 the one ridge is empty and every vertex of part completes
+    it."""
+    if alpha == 1:
+        fibers.add(part)
+        return part.bit_count(), 0
+    return _grow_ridges(rows, part, part, alpha - 1, fibers, memo)
+
+
+def _first_maximum_set(rows: tuple[int, ...], part: int, alpha: int) -> int:
+    """The first independent set of alpha vertices inside the vertex mask
+    part in colex order, where alpha is the independence number there.
+
+    Colex order is numeric mask order, so the highest vertex goes
+    whenever a set of the size still needed fits without it; the kernel
+    answers that with alpha as its target."""
+    chosen = 0
+    while alpha:
+        v = part.bit_length() - 1
+        part ^= 1 << v
+        if alpha_within(rows, part, alpha) < alpha:
+            chosen |= 1 << v
+            part &= ~rows[v]
+            alpha -= 1
+    return chosen
+
+
+def _ridge_summary(
+    rows: tuple[int, ...], parts: tuple[int, ...], alpha: int, fibers: set[int],
+) -> tuple[int, int]:
+    """(least fiber size, first ridge in colex order with that fiber) over
+    the ridges of the graph given by rows, whose independence number is
+    alpha.  parts is either the one mask of every vertex, grown whole, or
+    the masks of the graph's components.  Each fiber goes into fibers.
+
+    An independent set of G + H is one of G plus one of H and alpha
+    adds, so a ridge of G + H is a ridge of one part plus a maximum set
+    of the other.  That maximum set is maximal, so no vertex of its part
+    is outside its closed neighbourhood, and the ridge's fiber is its
+    own part's ridge's fiber.  So the fibers are the union of the parts'
+    fibers and the least fiber size is the least over the parts.  Colex
+    order is numeric mask order, and on disjoint vertex masks the least
+    union is the union of the least members, so the first thin ridge is
+    the least of one thinnest part's first thin ridge plus the first
+    maximum set of every other part."""
+    memo: dict[tuple[int, int, int], tuple[int, int]] = {}
+    if len(parts) == 1:
+        return _ridges_within(rows, parts[0], alpha, fibers, memo)
+    alphas = [alpha_within(rows, part) for part in parts]
+    summaries = [_ridges_within(rows, part, a, fibers, memo) for part, a in zip(parts, alphas)]
+    least = min(size for size, _ in summaries)
+    firsts = [_first_maximum_set(rows, part, a) for part, a in zip(parts, alphas)]
+    every_first = sum(firsts)
+    thin = min(ridge | every_first ^ first
+               for (size, ridge), first in zip(summaries, firsts) if size == least)
+    return least, thin
+
+
 @lru_cache(maxsize=1)
 def profile(g: Graph) -> IndependenceProfile:
-    """Facets, purity, and the fibers, least fiber size and first thin
-    ridge of the ridges in colex order.
+    """Facet sizes, purity, and the fibers, least fiber size and first
+    thin ridge of the ridges in colex order.
 
-    The ridges are grown on g's own rows, highest vertex first and each
-    level ascending, which is colex order with no sort.  Each node
-    carries the vertices outside its set's closed neighbourhood: that
-    mask is both the candidates left below the last vertex and, at a
-    leaf, the ridge's fiber.  One memo, on the masks each node carries,
-    lives for this call, so a subtree reached again along another
-    prefix is read back instead of grown; the Moon-Moser graphs rK3
-    have r * 3^(r-1) ridges but few distinct states.
+    The facet sizes come from `maximal_clique_size_range` on the
+    complement's rows.  The ridges are grown on g's own rows, highest
+    vertex first and each level ascending, which is colex order with no
+    sort.  Each node carries the vertices outside its set's closed
+    neighbourhood: that mask is both the candidates left below the last
+    vertex and, at a leaf, the ridge's fiber.  One memo, on the masks
+    each node carries, lives for the call, so a subtree reached again
+    along another prefix is read back instead of grown.
+
+    Above `ORACLE_VERTEX_LIMIT` vertices a disconnected graph has its
+    ridges grown per component (`_ridge_summary` gives the lemma): the
+    Moon-Moser graphs rK3, with r * 3^(r-1) ridges, split into r
+    triangles of one empty ridge each.
     """
-    facets = maximal_independent_set_masks(g)
-    alpha = max(m.bit_count() for m in facets)
-    full = (1 << g.n) - 1
+    rows = g.adj
+    least_facet, alpha = maximal_clique_size_range(complement(g).adj)
     fibers: set[int] = set()
-    if alpha == 1:
-        # the one empty ridge; every vertex completes it
-        fibers.add(full)
-        least, thin = g.n, 0
-    else:
-        least, thin = _grow_ridges(g.adj, full, full, alpha - 1, fibers, {})
+    least, thin = _ridge_summary(rows, split_parts(rows), alpha, fibers)
     return IndependenceProfile(
         alpha=alpha,
-        facets=facets,
-        is_pure=all(m.bit_count() == alpha for m in facets),
+        is_pure=least_facet == alpha,
         fibers=frozenset(fibers),
         min_fiber_size=least,
         thin_ridge=thin,
     )
 
 
-TABLE_BUILDERS = (maximal_clique_masks, profile)
+TABLE_BUILDERS = (maximal_clique_masks, maximal_clique_size_range, profile)
 
 
 def fiber(g: Graph, s: VertexSet) -> VertexSet:

@@ -16,8 +16,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .bitset import VertexSet
-from .graphs import Graph, connected_components
-from .independence import maximal_clique_masks
+from .graphs import Graph, component_masks
+from .independence import alpha_within, maximal_clique_size_range, split_parts
 
 HYPOTHESIS_UNMET = "hypothesis_unmet"
 HOLDS = "holds"
@@ -88,8 +88,8 @@ def is_kt_saturated(h: Graph, t: int) -> bool:
 
 def maximal_clique_sizes_uniform(h: Graph) -> tuple[bool, int]:
     """(all maximal cliques share one size, largest maximal clique size)."""
-    sizes = {m.bit_count() for m in maximal_clique_masks(h.adj, h.n)}
-    return (len(sizes) == 1, max(sizes))
+    least, largest = maximal_clique_size_range(h.adj)
+    return (least == largest, largest)
 
 
 def clique_codegree(h: Graph, q: VertexSet) -> int:
@@ -115,19 +115,58 @@ def min_clique_codegree(h: Graph, r: int) -> int:
     The cliques are grown on h's rows, lowest vertex first, and each
     node carries its clique's common neighbourhood, so a clique's
     codegree costs one step at its leaf.  One memo on the masks each
-    node carries lives for this call, so a subtree reached again along
+    node carries lives for the call, so a subtree reached again along
     another clique is read back instead of grown.  Cached on (h, r),
     one entry: condition (d), the W-index duality and the Gorenstein
-    complement route ask it of the same complement."""
+    complement route ask it of the same complement.
+
+    Above `ORACLE_VERTEX_LIMIT` vertices a join has its cliques grown
+    per part (`_least_codegree` gives the lemma): the complements of the
+    Moon-Moser graphs rK3 split into r parts of clique number 1, where
+    the search grows nothing."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    if r == 1:
-        return h.n
-    full = (1 << h.n) - 1
-    best = _min_codegree(h.adj, full, full, r - 1, {})
+    best = _least_codegree(h.adj, split_parts(h.adj, (1 << h.n) - 1), r)
     if best > h.n:
         raise ValueError(f"no cliques of size {r - 1}")
     return best
+
+
+def _least_codegree(rows: tuple[int, ...], parts: tuple[int, ...], r: int) -> int:
+    """The least codegree of the (r-1)-cliques of the graph given by
+    rows; len(rows) + 1 when there are none.  parts is either the one
+    mask of every vertex, searched whole, or the masks of the graph's
+    co-components.
+
+    Parts whose clique numbers add up to r are searched one by one.  The
+    graph is the join of its parts, so an (r-1)-clique is a maximum
+    clique in every part but one and one vertex short in that one.  A
+    vertex of a part whose clique is maximum extends nothing there, and
+    it sees every other part, so the common neighbours all lie in the
+    short part: the codegree is that part's own.  So the minimum is the
+    least over the parts of each part's minimum at its own clique
+    number.  At any other r the search runs whole."""
+    full = (1 << len(rows)) - 1
+    if len(parts) > 1:
+        # the parts' clique numbers, as alpha on the complement's rows
+        flipped = [row ^ full ^ 1 << v for v, row in enumerate(rows)]
+        omegas = [alpha_within(flipped, part) for part in parts]
+        if sum(omegas) == r:
+            memo: dict[tuple[int, int, int], int] = {}
+            return min(_part_min_codegree(rows, part, omega, memo)
+                       for part, omega in zip(parts, omegas))
+    return _part_min_codegree(rows, full, r, {})
+
+
+def _part_min_codegree(
+    rows: tuple[int, ...], part: int, r: int, memo: dict[tuple[int, int, int], int],
+) -> int:
+    """The least codegree, within the vertex mask part, of the
+    (r-1)-cliques inside part; len(rows) + 1 when there are none.  The
+    empty clique, for r = 1, has every vertex of part as a neighbour."""
+    if r == 1:
+        return part.bit_count()
+    return _min_codegree(rows, part, part, r - 1, memo)
 
 
 def _min_codegree(
@@ -195,12 +234,15 @@ def alpha3_check(h: Graph) -> int:
 
 def clique_union_shape(g: Graph) -> tuple[int, ...] | None:
     """Component sizes when every component is complete, else None."""
-    comps = connected_components(g)
-    for c in comps:
-        for v in c:
-            if c.bits & ~g.adj[v] & ~(1 << v):
+    comps = component_masks(g.adj)
+    for comp in comps:
+        bits = comp
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            if comp & ~g.adj[low.bit_length() - 1] & ~low:
                 return None
-    return tuple(len(c) for c in comps)
+    return tuple(comp.bit_count() for comp in comps)
 
 
 @dataclass(frozen=True, slots=True)

@@ -47,8 +47,8 @@ The sharing rule, precisely:
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
   * Caches sit only on shared primitives, one entry each: the table
-    builders of `independence` (the facet table and `profile`),
-    `graphs.complement`, `independence_number` and
+    builders of `independence` (the facet table, its size range and
+    `profile`), `graphs.complement`, `independence_number` and
     `saturation.min_clique_codegree`.  No verdict is cached, and the
     oracle's superset table lives only for one call of its front.  The
     memos of the ridge, codegree and clique recursions live for one
@@ -59,6 +59,16 @@ The sharing rule, precisely:
     grows ridges on g's rows, `min_clique_codegree` grows cliques on
     the complement's rows, and condition (c) reads its fibers off the
     facet table.
+  * A disconnected graph is split by one primitive,
+    `graphs.component_masks`.  The localization decider splits the
+    graph asked at every size; above `ORACLE_VERTEX_LIMIT` vertices the
+    facet sizes, `profile`'s ridges and `min_clique_codegree` split
+    too.  The oracle, its superset table, condition (c), the impure
+    witness of condition (b) and the edge-deletion criticality route
+    stay whole.  So on every disconnected graph the catalog checks
+    compare the localization decider's split with the oracle and the
+    ridge decider, and the tests compare each other split with its
+    whole-graph path.
 """
 
 from __future__ import annotations
@@ -67,8 +77,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .bitset import VertexSet, members
-from .graphs import Graph, complement, edge_localization, induced_rows
+from .graphs import Graph, complement, component_masks, edge_localization, induced_rows
 from .independence import (
+    ORACLE_VERTEX_LIMIT,
     IndependenceProfile,
     alpha_within,
     independence_number,
@@ -77,10 +88,6 @@ from .independence import (
     profile,
 )
 from .saturation import is_kt_saturated, maximal_clique_sizes_uniform, min_clique_codegree
-
-# The oracle's tuple enumeration is exponential; anything larger needs
-# an explicit opt-in.
-ORACLE_VERTEX_LIMIT = 10
 
 
 class OracleSizeError(ValueError):
@@ -243,8 +250,42 @@ def is_in_wp_localization(g: Graph, p: int, memo: dict | None = None) -> bool:
     memo = {} if memo is None else memo
     index = memo.get(g.adj)
     if index is None:
-        index = _local_index(g.adj, independence_number(g), memo)
+        index = _split_index(g.adj, independence_number(g), memo)
     return index >= p
+
+
+def _split_index(rows: tuple[int, ...], alpha: int, memo: dict) -> int:
+    """`_local_index` of a graph that may be disconnected: rows, not yet
+    in memo, with independence number alpha.
+
+    The index of a disconnected graph G + H is the least of its parts'
+    indices, by induction on the recursion.  alpha adds over the parts.
+    Localizing at v in G leaves (G - N[v]) + H, whose alpha drops by
+    exactly one when G's does; by induction its index is the least of
+    G - N[v]'s and H's, or H's alone when G is complete and nothing of
+    it is left, and a part's failed drop gives 0 on both sides.  Over
+    the vertices of G that is the least of G's index and H's, and
+    likewise over H.  So each component is relabeled into rows of its
+    own and its index looked up, or computed, under those rows; rK3
+    splits into r triangles, each the complete base case.
+
+    Only the graph asked is split, not its localizations: on the n = 8
+    benchmark stream a component search at every node of the recursion
+    cost more than the memo hits it added."""
+    parts = component_masks(rows)
+    if len(parts) == 1:
+        return _local_index(rows, alpha, memo)
+    result = len(rows)
+    for part in parts:
+        sub = induced_rows(rows, part)
+        index = memo.get(sub)
+        if index is None:
+            index = _local_index(sub, alpha_within(rows, part), memo)
+        result = min(result, index)
+        if result == 0:
+            break
+    memo[rows] = result
+    return result
 
 
 def _local_index(rows: tuple[int, ...], alpha: int, memo: dict) -> int:
@@ -387,7 +428,7 @@ def _cond_a(
 
 def _cond_b(g: Graph, prof: IndependenceProfile) -> tuple[int, dict]:
     if not prof.is_pure:
-        small = min(prof.facets, key=int.bit_count)
+        small = min(maximal_independent_set_masks(g), key=int.bit_count)
         return 0, {"kind": "impure_complex", "facet": members(small)}
     # many ridges share a fiber: 17,496 ridges of 8K3 have 8 fibers
     for u, v in g.edges():

@@ -12,6 +12,6 @@ STRUCTURED_SPECS = (
 
 # the three graphs `wellcov analyze` is timed on: one bound by the
 # oracle, one by enumeration at n = 28, and 8K3, the Moon-Moser extremal
-# case, whose 3^8 facets are a table while its 17,496 ridges and as many
-# 7-cliques of the complement grow from a few hundred memoized states
+# case, whose 3^8 facets and 17,496 ridges, and as many 7-cliques of the
+# complement, split into eight triangles
 ANALYZE_SPECS = ("petersen_complement", "c7_blowup:q=4", "disjoint_cliques:r=8,p=3")

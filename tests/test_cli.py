@@ -175,7 +175,8 @@ class TestScan:
         assert code == EXIT_OK
         body = json.loads(out)
         assert body["graphs_checked"] == 64
-        assert set(body["table_cache"]) == {"maximal_clique_masks", "profile"}
+        assert set(body["table_cache"]) == {
+            "maximal_clique_masks", "maximal_clique_size_range", "profile"}
         for counts in body["table_cache"].values():
             assert counts["misses"] == body["graphs_checked"]
             assert counts["hits"] > 0

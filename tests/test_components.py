@@ -1,0 +1,192 @@
+"""The component split against the whole-graph paths and the naive
+definitions.
+
+`maximal_clique_size_range`, `profile`, `min_clique_codegree` and the
+localization index split a disconnected graph by its components (or a
+join by its co-components); all but the localization split run only
+above `ORACLE_VERTEX_LIMIT` vertices, so the tests drive them directly
+on smaller graphs.  Each split value is checked against the same value
+computed on the whole graph, with no split, and against
+`tests/_naive.py`, on every disconnected labeled graph with n <= 6.
+Disjoint unions of two structured family graphs, at most 20 vertices in
+all, check the union lemmas themselves: alpha adds, the W-index is the
+least of the parts', and the union is well-covered, or alpha-critical,
+exactly when both parts are.
+"""
+
+from itertools import combinations_with_replacement
+
+import pytest
+
+from wellcov import (
+    Graph,
+    IndependenceProfile,
+    complement,
+    generate,
+    independence_number,
+    is_alpha_critical_direct,
+    is_alpha_critical_fibers,
+    is_in_wp_localization,
+    is_well_covered,
+    min_clique_codegree,
+    profile,
+    w_index,
+)
+from wellcov import independence, saturation
+from wellcov.catalog import labeled_graphs
+from wellcov.graphs import component_masks
+from wellcov.independence import maximal_clique_masks, maximal_clique_size_range
+from tests import _naive
+from tests._specs import STRUCTURED_SPECS
+from tests.test_independence import assert_profile_matches_naive
+from tests.test_saturation import naive_min_codegree
+from tests.test_wp import local_index_by_subgraphs
+
+
+def disconnected_catalog(max_n: int):
+    for n in range(2, max_n + 1):
+        for g in labeled_graphs(n):
+            if len(component_masks(g.adj)) > 1:
+                yield g
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """g on vertices 0..g.n-1 and h after them, with no edge between."""
+    return Graph(g.n + h.n, g.adj + tuple(row << g.n for row in h.adj))
+
+
+def whole_size_range(g: Graph) -> tuple[int, int]:
+    """Least and largest facet size, read off the uncached whole facet
+    table."""
+    sizes = {m.bit_count() for m in maximal_clique_masks.__wrapped__(complement(g).adj, g.n)}
+    return min(sizes), max(sizes)
+
+
+def split_size_range(g: Graph) -> tuple[int, int]:
+    """Least and largest facet size, per part of the complement's join,
+    as `maximal_clique_size_range` reads them above
+    `ORACLE_VERTEX_LIMIT` vertices."""
+    rows = complement(g).adj
+    return independence._clique_size_range(rows, component_masks(rows, (1 << g.n) - 1))
+
+
+def whole_profile(g: Graph) -> IndependenceProfile:
+    """The profile with its ridges grown on the whole vertex set."""
+    least_facet, alpha = whole_size_range(g)
+    fibers: set[int] = set()
+    least, thin = independence._ridge_summary(g.adj, ((1 << g.n) - 1,), alpha, fibers)
+    return IndependenceProfile(alpha, least_facet == alpha, frozenset(fibers), least, thin)
+
+
+def split_profile(g: Graph) -> IndependenceProfile:
+    """The profile with its ridges grown per component, as `profile`
+    grows them above `ORACLE_VERTEX_LIMIT` vertices."""
+    least_facet, alpha = split_size_range(g)
+    fibers: set[int] = set()
+    least, thin = independence._ridge_summary(g.adj, component_masks(g.adj), alpha, fibers)
+    return IndependenceProfile(alpha, least_facet == alpha, frozenset(fibers), least, thin)
+
+
+def whole_min_codegree(h: Graph, r: int) -> int:
+    """The codegree recursion on every vertex of h at once."""
+    return saturation._least_codegree(h.adj, ((1 << h.n) - 1,), r)
+
+
+def split_min_codegree(h: Graph, r: int) -> int:
+    """The codegree recursion per co-component, as `min_clique_codegree`
+    runs it above `ORACLE_VERTEX_LIMIT` vertices."""
+    return saturation._least_codegree(h.adj, component_masks(h.adj, (1 << h.n) - 1), r)
+
+
+def naive_local_index(g: Graph) -> int:
+    """The localization index by its definition: the order of a complete
+    graph, else the least index over the vertex localizations, 0 once
+    one of them fails to drop alpha by exactly one."""
+    alpha = _naive.alpha(g)
+    if alpha == 1:
+        return g.n
+    result = g.n
+    for v in range(g.n):
+        sub = _naive.localization(g, (v,))
+        if sub is None or _naive.alpha(sub) != alpha - 1:
+            return 0
+        result = min(result, naive_local_index(sub))
+    return result
+
+
+def split_local_index(g: Graph) -> int:
+    """The localization index read through the public decider."""
+    memo: dict = {}
+    return sum(is_in_wp_localization(g, p, memo) for p in range(1, g.n + 2))
+
+
+class TestCatalog:
+    """Every disconnected labeled graph with n <= 6: 6,391 of 33,867."""
+
+    def test_count(self):
+        assert sum(1 for _ in disconnected_catalog(6)) == 6391
+
+    def test_facet_sizes(self):
+        for g in disconnected_catalog(6):
+            sizes = [len(s) for s in _naive.maximal_independent_sets(g)]
+            want = (min(sizes), max(sizes))
+            assert split_size_range(g) == whole_size_range(g) == want
+            assert maximal_clique_size_range(complement(g).adj) == want
+
+    def test_profile(self):
+        for g in disconnected_catalog(6):
+            assert split_profile(g) == whole_profile(g) == profile(g)
+            assert_profile_matches_naive(g)
+
+    def test_min_codegree(self):
+        for g in disconnected_catalog(6):
+            h, r = complement(g), independence_number(g)
+            got = split_min_codegree(h, r)
+            assert got == whole_min_codegree(h, r) == naive_min_codegree(h, r)
+            assert min_clique_codegree(h, r) == got
+            # below the clique number the parts are not searched apart,
+            # and above it there is no clique to search
+            for k in range(1, r + 2):
+                assert split_min_codegree(h, k) == whole_min_codegree(h, k)
+
+    def test_localization_index(self):
+        ref: dict = {}
+        for g in disconnected_catalog(6):
+            got = split_local_index(g)
+            assert got == local_index_by_subgraphs(g, ref) == naive_local_index(g)
+
+
+UNION_PAIRS = [
+    (a, b) for a, b in combinations_with_replacement(STRUCTURED_SPECS, 2)
+    if generate(a).graph.n + generate(b).graph.n <= 20]
+
+
+class TestUnions:
+    """Disjoint unions of two structured family graphs.  The Petersen
+    graph is the one part that is neither well-covered nor critical."""
+
+    @pytest.mark.parametrize("a,b", UNION_PAIRS)
+    def test_union(self, a, b):
+        g, h = generate(a).graph, generate(b).graph
+        parts = []
+        for part in (g, h):
+            parts.append((independence_number(part), is_well_covered(part), w_index(part),
+                          is_alpha_critical_direct(part), split_local_index(part)))
+        u = disjoint_union(g, h)
+        (alpha_g, wc_g, w_g, crit_g, li_g), (alpha_h, wc_h, w_h, crit_h, li_h) = parts
+
+        assert independence_number(u) == alpha_g + alpha_h
+        assert is_well_covered(u) == (wc_g and wc_h)
+        assert w_index(u) == (min(w_g, w_h) if wc_g and wc_h else None)
+        assert is_alpha_critical_direct(u) == (crit_g and crit_h)
+        assert is_alpha_critical_fibers(u)[0] == (crit_g and crit_h)
+        assert split_local_index(u) == min(li_g, li_h)
+
+        # and each split route agrees with its whole-graph path
+        r = independence_number(u)
+        assert maximal_clique_size_range(complement(u).adj) == split_size_range(u) == (
+            whole_size_range(u))
+        assert profile(u) == split_profile(u) == whole_profile(u)
+        co = complement(u)
+        assert min_clique_codegree(co, r) == split_min_codegree(co, r) == whole_min_codegree(co, r)
+        assert split_local_index(u) == local_index_by_subgraphs(u, {})

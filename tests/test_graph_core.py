@@ -20,6 +20,7 @@ from wellcov import (
     lexicographic_product,
 )
 from wellcov.catalog import labeled_graphs
+from wellcov.graphs import component_masks
 
 
 class TestVertexSet:
@@ -173,6 +174,21 @@ class TestProducts:
         comps = connected_components(un)
         assert [c.to_tuple() for c in comps] == [(0, 1), (2, 3, 4)]
         assert len(connected_components(k3)) == 1
+
+    def test_component_masks_match_reachability(self):
+        # the components are the reachability classes, ordered by least
+        # member, and a graph's co-components are its complement's
+        # components
+        for n in range(1, 6):
+            for g in labeled_graphs(n):
+                reach = [1 << v for v in range(n)]
+                for _ in range(n):
+                    for u, v in g.edges():
+                        reach[u] = reach[v] = reach[u] | reach[v]
+                want = sorted(set(reach), key=lambda m: m & -m)
+                assert component_masks(g.adj) == tuple(want)
+                full = (1 << n) - 1
+                assert component_masks(complement(g).adj, full) == tuple(want)
 
 
 class TestCatalogBounds:

@@ -7,9 +7,10 @@ catalog, with and without a target, and against the maximal-set engine
 on the n <= 6 catalog, the named families with their edge deletions and
 localizations, and seeded random graphs; its search is held to a call
 budget, and so are the memoized ridge, codegree and clique recursions
-on disjoint triangles.
+on disjoint triangles, whole and split into components.
 """
 
+import os
 import random
 import sys
 
@@ -23,6 +24,7 @@ from wellcov import (
     fiber,
     generate,
     independence_number,
+    is_in_wp_localization,
     is_kt_saturated,
     is_well_covered,
     maximal_clique_sizes_uniform,
@@ -78,9 +80,6 @@ class TestAgainstNaive:
     def test_profile_matches_naive(self):
         for g in small_catalog(6):
             assert_profile_matches_naive(g)
-            if g.n <= 5:
-                assert sorted(VertexSet(g.n, m).to_tuple() for m in profile(g).facets) == (
-                    _naive.maximal_independent_sets(g))
 
     @pytest.mark.parametrize("spec", ANALYZE_SPECS)
     def test_profile_matches_naive_on_families(self, spec):
@@ -186,6 +185,23 @@ def frames_entered(module, name: str, call) -> int:
     return calls
 
 
+def package_frames(call) -> int:
+    """Frames of any function of the package entered by call()."""
+    package = os.path.dirname(independence.__file__)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and os.path.dirname(frame.f_code.co_filename) == package:
+            calls += 1
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def grow_calls(route, g: Graph) -> int:
     """Frames of the kernel's inner search entered by one call route(g)."""
     return frames_entered(independence, "grow", lambda: route(g))
@@ -224,23 +240,31 @@ class TestMemoWork:
     the complement, grow from a few hundred distinct states.  Without
     their memos the recursions opened 27,064 ridge, 27,064 codegree and
     23,279 clique frames at r = 8, and 451,613, 451,613 and 289,464 at
-    r = 10.  Each test starts with empty caches."""
+    r = 10.  rK3 is disconnected, so `profile` and `min_clique_codegree`
+    split it into triangles; the ridge and codegree recursions are
+    driven on its whole rows directly.  Each test starts with empty
+    caches."""
 
     BUDGETS = {8: (450, 450, 220), 10: (1450, 1450, 380)}
 
     @pytest.mark.parametrize("r", sorted(BUDGETS))
     def test_ridges(self, r):
         g = generate(f"disjoint_cliques:r={r},p=3").graph
-        frames = frames_entered(independence, "_grow_ridges", lambda: profile(g))
+        full = (1 << g.n) - 1
+        fibers: set[int] = set()
+        frames = frames_entered(independence, "_grow_ridges", lambda: independence._grow_ridges(
+            g.adj, full, full, r - 1, fibers, {}))
         assert frames <= self.BUDGETS[r][0]
-        assert profile(g).min_fiber_size == 3
+        assert len(fibers) == r
 
     @pytest.mark.parametrize("r", sorted(BUDGETS))
     def test_codegree(self, r):
         h = complement(generate(f"disjoint_cliques:r={r},p=3").graph)
-        frames = frames_entered(saturation, "_min_codegree", lambda: min_clique_codegree(h, r))
+        full = (1 << h.n) - 1
+        frames = frames_entered(saturation, "_min_codegree", lambda: saturation._min_codegree(
+            h.adj, full, full, r - 1, {}))
         assert frames <= self.BUDGETS[r][1]
-        assert min_clique_codegree(h, r) == 3
+        assert saturation._min_codegree(h.adj, full, full, r - 1, {}) == 3
 
     @pytest.mark.parametrize("r", sorted(BUDGETS))
     def test_saturation(self, r):
@@ -248,6 +272,40 @@ class TestMemoWork:
         frames = frames_entered(saturation, "_contains_clique", lambda: is_kt_saturated(h, r + 1))
         assert frames <= self.BUDGETS[r][2]
         assert is_kt_saturated(h, r + 1)
+
+
+class TestSplitWork:
+    """Frame budgets for the component split at r = 20, where the whole
+    graph has 20 * 3^19 ridges and 3^20 facets: every frame the package
+    opens for one route from cold caches, which grows linearly in r
+    (412, 85 and 69 frames here)."""
+
+    R = 20
+
+    def graph(self) -> Graph:
+        return generate(f"disjoint_cliques:r={self.R},p=3").graph
+
+    def test_profile(self):
+        # without the split, 20K3 would build its 3^20 facets; 6K3 shows
+        # that first, at 3^6
+        assert profile(generate("disjoint_cliques:r=6,p=3").graph).is_pure
+        assert maximal_clique_masks.cache_info().misses == 0
+        g = self.graph()
+        assert package_frames(lambda: profile(g)) <= 500
+        prof = profile(g)
+        assert (prof.alpha, prof.is_pure, prof.min_fiber_size) == (self.R, True, 3)
+        assert maximal_clique_masks.cache_info().misses == 0
+
+    def test_codegree(self):
+        h = complement(self.graph())
+        assert package_frames(lambda: min_clique_codegree(h, self.R)) <= 100
+        assert min_clique_codegree(h, self.R) == 3
+
+    def test_localization(self):
+        g = self.graph()
+        memo: dict = {}
+        assert package_frames(lambda: is_in_wp_localization(g, 3, memo)) <= 80
+        assert not is_in_wp_localization(g, 4, memo)
 
 
 class TestOrdering:
@@ -259,8 +317,9 @@ class TestOrdering:
 class TestFacetTable:
     def test_complement_cliques_share_the_facet_table(self):
         # the facets of g and the maximal cliques of its complement are
-        # one table, built once
-        g = generate("disjoint_cliques:r=6,p=3").graph
+        # one table, built once; on a connected graph the size readers
+        # read it
+        g = generate("c7_blowup:q=2").graph
         maximal_independent_set_masks(g)
         before = maximal_clique_masks.cache_info()
         maximal_clique_sizes_uniform(complement(g))
@@ -268,13 +327,25 @@ class TestFacetTable:
         assert after.hits - before.hits == 1
         assert after.misses == before.misses
 
+    def test_disjoint_union_builds_no_facet_table(self):
+        # the complement of 6K3 is a join, so the three size readers
+        # enumerate each triangle's cliques and never the 3^6 table
+        g = generate("disjoint_cliques:r=6,p=3").graph
+        before = maximal_clique_masks.cache_info()
+        assert is_well_covered(g)
+        assert profile(g).alpha == 6 and profile(g).is_pure
+        assert maximal_clique_sizes_uniform(complement(g)) == (True, 6)
+        after = maximal_clique_masks.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits
+
 
 class TestProfile:
     def test_c5(self, c5):
         prof = profile(c5)
         assert prof.alpha == 2
         assert prof.is_pure
-        assert len(prof.facets) == 5
+        assert len(maximal_independent_set_masks(c5)) == 5
         # ridges of C_5 are its five vertices; each fiber is the
         # nonneighbor pair, and the first ridge, (0,), has fiber (2, 3)
         assert sorted(VertexSet(5, f).to_tuple() for f in prof.fibers) == [

@@ -326,20 +326,28 @@ def local_index(g: Graph, memo: dict) -> int:
 
 class TestLocalizationOnRows:
     """The row-level recursion against the recursion on induced
-    subgraphs, on the n <= 6 catalog; both memos must end up with the
-    same entries under the same adjacency keys."""
+    subgraphs, on the n <= 6 catalog.  The row-level memo also holds the
+    rows of the components it splits a graph into, so each of its
+    entries must equal the reference index of its own rows."""
+
+    @staticmethod
+    def assert_entries_match(memo: dict, ref: dict) -> None:
+        for rows, index in memo.items():
+            assert index == local_index_by_subgraphs(Graph(len(rows), rows), ref), rows
 
     def test_fresh_memo_n6(self):
+        ref: dict = {}
         for g in small_catalog(6):
-            memo, ref = {}, {}
+            memo: dict = {}
             assert local_index(g, memo) == local_index_by_subgraphs(g, ref)
-            assert memo == ref
+            assert g.adj in memo
+            self.assert_entries_match(memo, ref)
 
     def test_shared_memo_n6(self):
         memo, ref = {}, {}
         for g in small_catalog(6):
             assert local_index(g, memo) == local_index_by_subgraphs(g, ref)
-        assert memo == ref
+        self.assert_entries_match(memo, ref)
 
 
 class TestNoGraphBuilds:
