@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Four subcommands: analyze prints a JSON report for one graph, scan
-runs the catalog sweep's per-graph job, `verify.check_graph`, over a
-graph6 stream or the built-in labeled catalog (or, under `--mode find`,
-emits the graphs with an all-true report), family emits generator
-output as graph6, and verify runs a named suite and prints a per-check
-table.  Graphs travel on stdin/stdout as graph6; diagnostics go to
-stderr.  Exit codes: 0 clean, 1 verification failures or
-counterexamples, 2 usage or input errors.
+runs the catalog sweep's jobs (`verify.Job`, through the sweep's
+driver `verify.job_runner`) over a graph6 stream, one line per job, or
+over one order of the built-in labeled catalog, which goes to the
+sweep's worker pool at n = 6 (under `--mode find` it emits the graphs
+with an all-true report), family emits generator output as graph6, and
+verify runs a named suite and prints a per-check table.  Graphs travel
+on stdin/stdout as graph6; diagnostics go to stderr.  Exit codes: 0
+clean, 1 verification failures or counterexamples, 2 usage or input
+errors.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, TextIO
+from contextlib import nullcontext
+from typing import Callable, Iterable
 
-from .catalog import DEFAULT_MAX_N, HARD_MAX_N, catalog_size, labeled_graphs
+from .catalog import DEFAULT_MAX_N, HARD_MAX_N, catalog_size, check_order
 from .families import FAMILY_NAMES, generate
-from .graph6 import Graph6Error, decode, encode, iter_stream
+from .graph6 import Graph6Error, decode, encode
 from .graphs import Graph, complement
 from .independence import TABLE_BUILDERS, independence_number, is_well_covered
 from .saturation import (
@@ -30,7 +33,7 @@ from .saturation import (
     maximal_clique_sizes_uniform,
     min_clique_codegree,
 )
-from .verify import SUITE_NAMES, Progress, check_graph, run_suite
+from .verify import SUITE_NAMES, Job, JobResult, Progress, job_runner, run_suite
 from .wp import (
     OracleSizeError,
     edge_localization_scan,
@@ -38,7 +41,6 @@ from .wp import (
     is_alpha_critical_fibers,
     is_in_wp_localization,
     is_in_wp_oracle,
-    theorem_reports,
     w_index,
 )
 
@@ -213,113 +215,76 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _stream_graphs(args: argparse.Namespace):
-    """Yield (label, graph-or-error) pairs from the selected source."""
-    if args.exhaustive is not None:
-        n = args.exhaustive
-        for index, g in enumerate(labeled_graphs(n, allow_large=args.allow_large)):
-            yield f"graph {index + 1}/{catalog_size(n)}", g
-        return
-    stream: TextIO
-    if args.input is None or args.input == "-":
-        stream = sys.stdin
-    else:
-        stream = open(args.input, encoding="latin-1")
-    try:
-        for lineno, item in iter_stream(stream):
-            yield f"line {lineno}", item
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
+    # the source errors come before the first graph, so that an error
+    # raised while a graph is checked is never taken for a usage error
+    stream = nullcontext(sys.stdin)
     try:
         p_values = _parse_p_values(args.p)
-    except ValueError as exc:
-        return _fail(str(exc))
-    if args.r is not None and args.mode != "find":
-        return _fail("--r applies only to --mode find")
-    if args.r is not None and args.r < 1:
-        return _fail("--r must be positive")
-
-    memo: dict = {}
-    graphs_checked = 0
-    parse_errors: list[dict] = []
-    skipped: list[dict] = []
-    discrepancies: list[dict] = []
-    hits: list[dict] = []
-    cache_start = [f.cache_info() for f in TABLE_BUILDERS]
-
-    try:
-        source = _stream_graphs(args)
-        for label, item in source:
-            if isinstance(item, Graph6Error):
-                parse_errors.append({"where": label, "code": item.code, "message": str(item)})
-                print(f"{label}: parse error ({item.code}): {item}", file=sys.stderr)
-                continue
-            g = item
-            graphs_checked += 1
-            try:
-                if args.mode == "check":
-                    found, _ = check_graph(g, p_values, memo, allow_large=args.allow_large)
-                else:
-                    found = []
-                    alpha = independence_number(g)
-                    if args.r is None or alpha == args.r:
-                        reports = theorem_reports(g, p_values, allow_large=args.allow_large)
-                        for p in p_values:
-                            if reports[p].all_true:
-                                hits.append({"where": label, "graph6": encode(g),
-                                             "n": g.n, "r": alpha, "p": p})
-                                if not args.json:
-                                    print(encode(g))
-                                break
-            except OracleSizeError as exc:
-                skipped.append({"where": label, "n": g.n, "reason": str(exc)})
-                print(f"{label}: skipped: {exc}", file=sys.stderr)
-                continue
-            for rec in found:
-                rec["where"] = label
-                discrepancies.append(rec)
-                if not args.json:
-                    where = rec["where"]
-                    p_part = f" p={rec['p']}" if "p" in rec else ""
-                    print(f"{where} {rec['graph6']}{p_part} {rec['check']}: {rec['detail']}")
+        if args.r is not None and args.mode != "find":
+            raise ValueError("--r applies only to --mode find")
+        if args.r is not None and args.r < 1:
+            raise ValueError("--r must be positive")
+        if args.exhaustive is not None:
+            check_order(args.exhaustive, allow_large=args.allow_large)
+        elif args.input not in (None, "-"):
+            stream = open(args.input, encoding="latin-1")
     except (ValueError, OSError) as exc:
         return _fail(str(exc))
 
+    options = {"find": args.mode == "find", "r": args.r, "allow_large": args.allow_large}
+    found = JobResult()
+    with stream as lines, job_runner() as run:
+        if args.exhaustive is not None:
+            jobs: Iterable[Job] = [
+                Job(p_values, args.exhaustive, range(catalog_size(args.exhaustive)), **options)]
+        else:
+            # one line per job, so each line's output goes out before
+            # the next line is read
+            jobs = (Job(p_values, lines=(line,), lineno=lineno, **options)
+                    for lineno, line in enumerate(lines, start=1))
+        for job in jobs:
+            for result in run(job):
+                for err in result.parse_errors:
+                    print(f"{err['where']}: parse error ({err['code']}): {err['message']}",
+                          file=sys.stderr)
+                for skip in result.skipped:
+                    print(f"{skip['where']}: skipped: {skip['reason']}", file=sys.stderr)
+                if not args.json:
+                    for rec in result.records:
+                        p_part = f" p={rec['p']}" if "p" in rec else ""
+                        print(f"{rec['where']} {rec['graph6']}{p_part} {rec['check']}: "
+                              f"{rec['detail']}")
+                    # check mode's hits are the sweep's, which scan does not report
+                    for hit in result.hits if args.mode == "find" else ():
+                        print(hit["graph6"])
+                found.add(result)
+
+    # find mode reports its hits, check mode its discrepancy records
+    key, found_list = ("hits", found.hits) if args.mode == "find" else (
+        "discrepancies", found.records)
     summary = {
         "command": "scan",
         "mode": args.mode,
         "p": list(p_values),
-        "graphs_checked": graphs_checked,
-        "parse_errors": parse_errors,
-        "skipped": skipped,
-        "table_cache": {
-            f.__name__: {"hits": f.cache_info().hits - start.hits,
-                         "misses": f.cache_info().misses - start.misses}
-            for f, start in zip(TABLE_BUILDERS, cache_start)},
+        "graphs_checked": found.checked,
+        "parse_errors": found.parse_errors,
+        "skipped": found.skipped,
+        "table_cache": {f.__name__: {kind: found.table_cache[f.__name__, kind]
+                                     for kind in ("hits", "misses")} for f in TABLE_BUILDERS},
     }
     if args.mode == "find":
         summary["r"] = args.r
-        summary["hits"] = hits
-    else:
-        summary["discrepancies"] = discrepancies
+    summary[key] = found_list
 
     if args.json:
         json.dump(summary, sys.stdout, indent=2)
         print()
     else:
-        tail = (f"checked {graphs_checked} graphs, "
-                f"{len(parse_errors)} parse errors, {len(skipped)} skipped")
-        if args.mode == "find":
-            tail += f", {len(hits)} hits"
-        else:
-            tail += f", {len(discrepancies)} discrepancies"
-        print(tail, file=sys.stderr)
+        print(f"checked {found.checked} graphs, {len(found.parse_errors)} parse errors, "
+              f"{len(found.skipped)} skipped, {len(found_list)} {key}", file=sys.stderr)
 
-    violations = bool(discrepancies) or (args.strict and parse_errors)
+    violations = bool(found.records) or (args.strict and found.parse_errors)
     return EXIT_VIOLATIONS if violations else EXIT_OK
 
 

@@ -126,13 +126,14 @@ def encode(g: Graph) -> str:
     return head + "".join([_BYTE_OF[bits[i:i + 6]] for i in range(0, width, 6)])
 
 
-def iter_stream(lines: Iterable[str]) -> Iterator[tuple[int, Graph | Graph6Error]]:
-    """Decode a stream, yielding (line number, Graph or the parse error).
+def iter_stream(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, Graph | Graph6Error]]:
+    """Decode a stream, yielding (line number, Graph or the parse error),
+    the first line numbered `start`.
 
     Blank lines are skipped; malformed lines surface as Graph6Error
     values so callers can report and continue.
     """
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         if not line.strip():
             continue
         try:

@@ -57,11 +57,11 @@ families of the theorem, then resolve with little or no branching.
 
 The builders in `TABLE_BUILDERS` cache one entry each, the value of
 the last graph asked.  Their values are immutable and depend only on
-`(n, adj)`, on `(rows, n)` or on the rows.  A graph job asks
+`(n, adj)` or on the rows.  The checks of one graph ask
 `maximal_clique_masks` and `maximal_clique_size_range` about its
 complement's rows only, and `profile` about g itself.  The routes
 checking one graph ask back to back and the next graph evicts the
-entry, so one entry per builder covers a graph's job.  Three shared
+entry, so one entry per builder covers a graph's checks.  Three shared
 values carry the same one-entry cache without being tables:
 `graphs.complement`, whose rows the facet table reads,
 `independence_number`, which several routes ask of the same graph, and
@@ -140,14 +140,14 @@ def _maximal_cliques(rows: Sequence[int], within: int) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def maximal_clique_masks(rows: tuple[int, ...], n: int) -> tuple[int, ...]:
+def maximal_clique_masks(rows: tuple[int, ...]) -> tuple[int, ...]:
     """All maximal cliques of the graph given by bitmask rows, as masks,
     ascending.
 
-    Cached on its arguments, so the rows must be a tuple: the facets of
+    Cached on the rows, so they must be a tuple: the facets of
     g's independence complex are the maximal cliques of its complement,
     which the oracle and condition (c) both read."""
-    return tuple(sorted(_maximal_cliques(rows, (1 << n) - 1)))
+    return tuple(sorted(_maximal_cliques(rows, (1 << len(rows)) - 1)))
 
 
 @lru_cache(maxsize=1)
@@ -177,7 +177,7 @@ def _clique_size_range(rows: tuple[int, ...], parts: tuple[int, ...]) -> tuple[i
     So both sizes add over the parts, and each part's cliques are
     enumerated on their own."""
     if len(parts) == 1:
-        sizes = set(map(int.bit_count, maximal_clique_masks(rows, len(rows))))
+        sizes = set(map(int.bit_count, maximal_clique_masks(rows)))
         return min(sizes), max(sizes)
     least = largest = 0
     for part in parts:
@@ -189,7 +189,7 @@ def _clique_size_range(rows: tuple[int, ...], parts: tuple[int, ...]) -> tuple[i
 
 def maximal_independent_set_masks(g: Graph) -> tuple[int, ...]:
     """Maximal independent sets as bitmasks, ascending (colex order)."""
-    return maximal_clique_masks(complement(g).adj, g.n)
+    return maximal_clique_masks(complement(g).adj)
 
 
 def independent_set_masks(g: Graph) -> tuple[int, ...]:

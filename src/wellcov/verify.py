@@ -14,16 +14,23 @@ check (`deciders`, `conditions`, `criticality`, `w_index_duality`,
 `gorenstein`, `alpha2`, `alpha3`, `bounds`, `rigidity`, `codec`), and
 that name alone decides which suite line a record fails.
 
-Every check on one graph is one job, `check_graph`: the codec round
-trip, one set of theorem reports, then the equivalence and corollary
-checks on those reports.  The catalog sweep and `wellcov scan` both
-run it, and no other code strings these checks together.  The sweep
-runs it over runs of consecutive pair masks, `_check_range`; an order
-of one run (every n <= 5) stays in this process and a larger order
-(n = 6, 32 runs) goes to a pool of at most two forked workers that
-lives for one sweep.  It reads the results in mask order, so the ledger
-and the find hits are the same as a one-process sweep's.  Each worker
-keeps its own localization memo; a memo changes only speed.
+Every check on one graph is `check_graph`: the codec round trip, one
+set of theorem reports, then the equivalence and corollary checks on
+those reports.  No other code strings these checks together.
+
+A `Job` names its graphs, the labeled graphs of one order over a range
+of pair masks or graph6 stream lines, and says what to do with each:
+`check_graph`, or under find mode only the theorem reports.
+`run_job` runs one and returns a `JobResult`: the graphs checked, the
+records, find hits, skipped graphs and parse errors, each keyed by its
+graph's `where`, and the table builders' cache counts.  `job_runner`
+is the one driver.  A job of at most `_CHUNK` pair masks runs in this
+process; a larger one (at the default cap only n = 6, in 32 pieces)
+runs on a pool of at most two forked workers that lives for one call.
+Results come back in job order, so what a caller folds them into is
+the same as a one-process run's.  The catalog sweep and `wellcov scan`
+are the two folds.  Each worker keeps its own localization memo; a
+memo changes only speed.
 """
 
 from __future__ import annotations
@@ -31,15 +38,18 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .bitset import VertexSet
 from .catalog import catalog_size, check_order, graph_from_pair_mask
 from .families import generate
-from .graph6 import decode, encode
+from .graph6 import Graph6Error, decode, encode, iter_stream
 from .graphs import Graph, complement, edge_localization
-from .independence import fiber, independence_number, is_well_covered
+from .independence import TABLE_BUILDERS, fiber, independence_number, is_well_covered
 from .saturation import (
     VIOLATION,
     alpha2_check,
@@ -50,6 +60,7 @@ from .saturation import (
     min_clique_codegree,
 )
 from .wp import (
+    OracleSizeError,
     edge_localization_scan,
     gorenstein_combinatorial_check,
     is_alpha_critical_direct,
@@ -196,11 +207,11 @@ def corollary_discrepancies(
 def check_graph(
     g: Graph, p_values: Iterable[int], memo: dict, *, allow_large: bool = False
 ) -> tuple[list[dict], dict]:
-    """Every check on one graph, the job of the catalog sweep and of
-    `wellcov scan`: the records, codec first, then equivalence, then
-    corollaries, and the theorem report at each p.  Both check groups
-    read the one set of reports, which raise `OracleSizeError` past the
-    oracle guard unless allow_large is set."""
+    """Every check on one graph, which `run_job` runs for the catalog
+    sweep and for `wellcov scan`: the records, codec first, then
+    equivalence, then corollaries, and the theorem report at each p.
+    Both check groups read the one set of reports, which raise
+    `OracleSizeError` past the oracle guard unless allow_large is set."""
     p_values = tuple(p_values)
     records = []
     if decode(encode(g)).adj != g.adj:
@@ -233,40 +244,103 @@ class CatalogSweep:
         return [rec for rec in self.records if rec["check"] in checks]
 
 
-# pair masks per job.  An order of more than one job goes to the
-# pool; at the default cap that is only n = 6, in 32 jobs
+# pair masks per piece of a job.  A job of more than one piece goes to
+# the pool; at the default cap that is only n = 6, in 32 pieces
 _CHUNK = 1024
 _MAX_WORKERS = 2
 # graphs between progress calls
 _PROGRESS_EVERY = 4096
 
-# a pool worker's localization memo, which it fills over the sweep it
-# serves; the sweeping process never writes it, so each worker forks
+# a pool worker's localization memo, which it fills over the call it
+# serves; the calling process never writes it, so each worker forks
 # with it empty
 _worker_memo: dict = {}
 
 
-def _check_range(
-    n: int, start: int, stop: int, p_values: tuple[int, ...], memo: dict
-) -> tuple[int, list[dict], list[tuple[tuple[int, int, int], str]]]:
-    """`check_graph` on the labeled graphs of order n whose pair masks
-    lie in [start, stop): the graphs checked, then the records and the
-    find hits ((n, r, p), graph6), both in mask order."""
-    records: list[dict] = []
-    hits = []
-    for mask in range(start, stop):
-        g = graph_from_pair_mask(n, mask)
-        found, reports = check_graph(g, p_values, memo)
-        records += found
-        for p in p_values:
-            rep = reports[p]
-            if n == rep.r * p and rep.all_true:
-                hits.append(((n, rep.r, p), encode(g)))
-    return stop - start, records, hits
+@dataclass(frozen=True)
+class Job:
+    """One run of graphs and what to do with each.
+
+    The graphs are the labeled graphs of order n whose pair masks lie in
+    `masks`, then those on the graph6 stream `lines`, the first numbered
+    `lineno` (a blank line has none).  Check mode runs `check_graph` and
+    hits a graph at each p where its report is all-true and n = r*p, the
+    sweep's rigidity find.  Find mode reads only the theorem reports of
+    the graphs whose independence number is r (any, when r is None) and
+    hits each at its first all-true p.  allow_large lifts the oracle's
+    guard."""
+
+    p_values: tuple[int, ...]
+    n: int = 0
+    masks: range = range(0)
+    lines: tuple[str, ...] = ()
+    lineno: int = 1
+    find: bool = False
+    r: int | None = None
+    allow_large: bool = False
 
 
-def _check_range_in_worker(job: tuple) -> tuple:
-    return _check_range(*job, _worker_memo)
+@dataclass
+class JobResult:
+    """What jobs found, each list in graph order and each entry keyed by
+    its graph's `where`."""
+
+    checked: int = 0
+    records: list[dict] = field(default_factory=list)
+    hits: list[dict] = field(default_factory=list)
+    # graphs past the oracle guard, and stream lines that did not parse
+    skipped: list[dict] = field(default_factory=list)
+    parse_errors: list[dict] = field(default_factory=list)
+    # (`TABLE_BUILDERS` name, "hits" or "misses") -> count over the jobs
+    table_cache: Counter[tuple[str, str]] = field(default_factory=Counter)
+
+    def add(self, other: JobResult) -> None:
+        """Add a later job's findings to these: each field is a count, a
+        list or a Counter, and adds in place."""
+        for name, value in vars(other).items():
+            mine = getattr(self, name)
+            mine += value
+            setattr(self, name, mine)
+
+
+def run_job(job: Job, memo: dict) -> JobResult:
+    """The job's graphs, each checked or searched as `Job` says.  A graph
+    past the oracle guard is skipped, and counted as checked; a line
+    that does not parse is not."""
+    out = JobResult()
+    cache_start = [f.cache_info() for f in TABLE_BUILDERS]
+    total = catalog_size(job.n)
+    graphs = chain(
+        ((f"graph {mask + 1}/{total}", graph_from_pair_mask(job.n, mask)) for mask in job.masks),
+        ((f"line {k}", item) for k, item in iter_stream(job.lines, job.lineno)))
+    for where, g in graphs:
+        if isinstance(g, Graph6Error):
+            out.parse_errors.append({"where": where, "code": g.code, "message": str(g)})
+            continue
+        out.checked += 1
+        records, levels = [], []
+        try:
+            if not job.find:
+                records, reports = check_graph(g, job.p_values, memo, allow_large=job.allow_large)
+                levels = [p for p in job.p_values
+                          if g.n == reports[p].r * p and reports[p].all_true]
+            elif job.r in (None, independence_number(g)):
+                reports = theorem_reports(g, job.p_values, allow_large=job.allow_large)
+                levels = [p for p in job.p_values if reports[p].all_true][:1]
+        except OracleSizeError as exc:
+            out.skipped.append({"where": where, "n": g.n, "reason": str(exc)})
+            continue
+        out.records += [{**rec, "where": where} for rec in records]
+        out.hits += [{"where": where, "graph6": encode(g), "n": g.n, "r": reports[p].r, "p": p}
+                     for p in levels]
+    for f, start in zip(TABLE_BUILDERS, cache_start):
+        out.table_cache[f.__name__, "hits"] = f.cache_info().hits - start.hits
+        out.table_cache[f.__name__, "misses"] = f.cache_info().misses - start.misses
+    return out
+
+
+def _run_job_in_worker(job: Job) -> JobResult:
+    return run_job(job, _worker_memo)
 
 
 def _usable_cpus() -> int:
@@ -289,51 +363,46 @@ def _fork_pool():
     return ctx.Pool(workers)
 
 
-def sweep_catalog(
-    max_n: int = 6,
-    p_values: tuple[int, ...] = (1, 2, 3),
-    *,
-    progress: Progress | None = None,
-) -> CatalogSweep:
-    """Cross-validate everything over all labeled graphs on 1..max_n
-    vertices.
+@contextmanager
+def job_runner(progress: Progress | None = None) -> Iterator[Callable[[Job], Iterator[JobResult]]]:
+    """The one driver of `run_job`: a function that takes a job and
+    yields its results in mask order, one per piece of at most `_CHUNK`
+    pair masks.
 
-    Each order is cut into jobs of consecutive pair masks.  An order of
-    one job runs in this process; a larger one runs on a pool of at
-    most two forked workers, whose results are read in mask order, so
-    the sweep is the same field for field.  The pool lives only for
-    this call.  This process shares one localization memo across its
-    orders, and each worker keeps its own for the sweep; a memo changes
-    only speed, never a verdict.  The workers are forked,
-    so call this from a process that runs no other thread.
+    A job of one piece, such as a stream line or an order up to n = 5,
+    runs in this process, and every such job of the call shares one
+    localization memo.  The pieces of a larger job run on a pool of
+    min(2, usable CPUs) forked workers, each with its own memo, started
+    at the first such job and kept for the rest of the call; without a
+    pool they too run in this process.  A memo changes only speed,
+    never a verdict.  Before the result of a piece of order n is read,
+    progress(n, index, total) is called at each multiple of
+    `_PROGRESS_EVERY` among its pair masks: the graphs before index are
+    done.  The pool is terminated when the body raises, and always
+    closed and joined when the call ends.  The workers are forked, so
+    call this from a process that runs no other thread.
     """
-    sweep = CatalogSweep(max_n=max_n, p_values=tuple(p_values))
     memo: dict = {}
     pool = None
-    started = time.perf_counter()
+
+    def run(job: Job) -> Iterator[JobResult]:
+        nonlocal pool
+        pieces = [replace(job, masks=job.masks[lo:lo + _CHUNK])
+                  for lo in range(0, len(job.masks), _CHUNK)] or [job]
+        if len(pieces) > 1 and pool is None:
+            pool = _fork_pool()
+        if len(pieces) > 1 and pool is not None:
+            results = pool.imap(_run_job_in_worker, pieces)
+        else:
+            results = (run_job(piece, memo) for piece in pieces)
+        for piece in pieces:
+            if progress is not None:
+                first = -(-piece.masks.start // _PROGRESS_EVERY) * _PROGRESS_EVERY
+                for index in range(first, piece.masks.stop, _PROGRESS_EVERY):
+                    progress(piece.n, index, catalog_size(piece.n))
+            yield next(results)
     try:
-        for n in range(1, max_n + 1):
-            check_order(n)
-            total = catalog_size(n)
-            jobs = [(n, lo, min(lo + _CHUNK, total), sweep.p_values)
-                    for lo in range(0, total, _CHUNK)]
-            if len(jobs) > 1 and pool is None:
-                pool = _fork_pool()
-            if len(jobs) > 1 and pool is not None:
-                results = pool.imap(_check_range_in_worker, jobs)
-            else:
-                results = (_check_range(*job, memo) for job in jobs)
-            for _, lo, hi, _ in jobs:
-                if progress is not None:
-                    # the graphs before each index called are done
-                    first = -(-lo // _PROGRESS_EVERY) * _PROGRESS_EVERY
-                    for index in range(first, hi, _PROGRESS_EVERY):
-                        progress(n, index, total)
-                checked, records, hits = next(results)
-                sweep.graphs_checked += checked
-                sweep.records += records
-                for key, g6 in hits:
-                    sweep.find_hits.setdefault(key, []).append(g6)
+        yield run
     except BaseException:
         if pool is not None:
             pool.terminate()
@@ -342,6 +411,30 @@ def sweep_catalog(
         if pool is not None:
             pool.close()
             pool.join()
+
+
+def sweep_catalog(
+    max_n: int = 6,
+    p_values: tuple[int, ...] = (1, 2, 3),
+    *,
+    progress: Progress | None = None,
+) -> CatalogSweep:
+    """Cross-validate everything over all labeled graphs on 1..max_n
+    vertices: one check-mode job per order through `job_runner`, so
+    n <= 5 runs in this process and n = 6 on the pool.  Every record
+    carries its graph's `where`, as in `wellcov scan --exhaustive`.  No
+    catalog order reaches the oracle's guard, so no graph is skipped.
+    """
+    sweep = CatalogSweep(max_n=max_n, p_values=tuple(p_values))
+    started = time.perf_counter()
+    with job_runner(progress) as run:
+        for n in range(1, max_n + 1):
+            check_order(n)
+            for result in run(Job(sweep.p_values, n, range(catalog_size(n)))):
+                sweep.graphs_checked += result.checked
+                sweep.records += result.records
+                for hit in result.hits:
+                    sweep.find_hits.setdefault((n, hit["r"], hit["p"]), []).append(hit["graph6"])
     sweep.elapsed_seconds = time.perf_counter() - started
     return sweep
 

@@ -198,7 +198,7 @@ def _oracle(
     if p_values and g.n > ORACLE_VERTEX_LIMIT and not allow_large:
         raise OracleSizeError(
             f"oracle capped at {ORACLE_VERTEX_LIMIT} vertices; got {g.n} "
-            "(pass allow_large to override)"
+            "(pass allow_large=True, --allow-large on the command line, to override)"
         )
     out: dict[int, tuple[int, ...] | None] = {}
     table = None

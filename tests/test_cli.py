@@ -1,10 +1,15 @@
 """CLI behavior: exit codes, JSON shape and stability, stream policy."""
 
+import io
 import json
+import sys
 
 import pytest
 
 from wellcov.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, _progress, main
+
+CYCLE12_REASON = ("oracle capped at 10 vertices; got 12 "
+                  "(pass allow_large=True, --allow-large on the command line, to override)")
 
 
 def run(capsys, *argv):
@@ -151,6 +156,55 @@ class TestScan:
         body = json.loads(out)
         assert len(body["skipped"]) == 1
         assert body["graphs_checked"] == 1
+        # the reason names the flag that lifts the guard here
+        assert "--allow-large" in body["skipped"][0]["reason"]
+
+    @pytest.mark.parametrize("mode, p, expected", [
+        ("check", "1,3", [
+            "line 2 IUX|}vh|G p=1 deciders: oracle=True ridge=True localization=False",
+            "line 2 IUX|}vh|G p=3 deciders: oracle=True ridge=True localization=False",
+            "line 3: parse error (bad_byte): byte 58 outside the printable graph6 range",
+            "line 4: skipped: " + CYCLE12_REASON,
+            "line 5 IUX|}vh|G p=1 deciders: oracle=True ridge=True localization=False",
+            "line 5 IUX|}vh|G p=3 deciders: oracle=True ridge=True localization=False",
+            "checked 3 graphs, 1 parse errors, 1 skipped, 4 discrepancies",
+        ]),
+        ("find", "3", [
+            "IUX|}vh|G",
+            "line 3: parse error (bad_byte): byte 58 outside the printable graph6 range",
+            "line 4: skipped: " + CYCLE12_REASON,
+            "IUX|}vh|G",
+            "checked 3 graphs, 1 parse errors, 1 skipped, 2 hits",
+        ]),
+    ])
+    def test_stream_output_keeps_line_order(self, mode, p, expected, monkeypatch, tmp_path):
+        # stdout and stderr into one buffer: each line's output, on
+        # either stream, comes before the next line's.  The
+        # localization decider is flipped so that check mode prints
+        # records too
+        from wellcov import encode, generate, is_in_wp_localization
+        monkeypatch.setattr(
+            "wellcov.verify.is_in_wp_localization",
+            lambda g, p, memo=None: not is_in_wp_localization(g, p, memo))
+        member = encode(generate("petersen_complement").graph)
+        oversize = encode(generate("cycle:n=12").graph)
+        stream = tmp_path / "graphs.g6"
+        stream.write_text(f"\n{member}\n:bad\n{oversize}\n{member}\n")
+        both = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", both)
+        monkeypatch.setattr(sys, "stderr", both)
+        code = main(["scan", "--input", str(stream), "--mode", mode, "--p", p])
+        assert code == (EXIT_VIOLATIONS if mode == "check" else EXIT_OK)
+        assert both.getvalue().splitlines() == expected
+
+    def test_route_value_error_is_not_a_usage_error(self, monkeypatch):
+        # a ValueError from a route is a fault of the program, so it
+        # reaches the caller instead of exiting 2 as bad input
+        def broken(h):
+            raise ValueError("planted")
+        monkeypatch.setattr("wellcov.verify.alpha2_check", broken)
+        with pytest.raises(ValueError, match="planted"):
+            main(["scan", "--exhaustive", "3"])
 
     def test_catalog_cap_is_usage_error(self, capsys):
         code, _, err = run(capsys, "scan", "--exhaustive", "8")

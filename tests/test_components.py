@@ -58,7 +58,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 def whole_size_range(g: Graph) -> tuple[int, int]:
     """Least and largest facet size, read off the uncached whole facet
     table."""
-    sizes = {m.bit_count() for m in maximal_clique_masks.__wrapped__(complement(g).adj, g.n)}
+    sizes = {m.bit_count() for m in maximal_clique_masks.__wrapped__(complement(g).adj)}
     return min(sizes), max(sizes)
 
 

@@ -60,7 +60,7 @@ class TestAgainstNaive:
         for g in small_catalog(5):
             want = sorted(sum(1 << v for v in vs)
                           for vs in _naive.maximal_independent_sets(complement(g)))
-            assert maximal_clique_masks(g.adj, g.n) == tuple(want)
+            assert maximal_clique_masks(g.adj) == tuple(want)
 
     def test_alpha_matches(self):
         for g in small_catalog(5):
@@ -115,7 +115,7 @@ def alpha_by_facets(g: Graph) -> int:
     """Alpha read off the uncached maximal-clique engine on the
     complement, a separate route."""
     rows = complement(g).adj
-    return max(m.bit_count() for m in maximal_clique_masks.__wrapped__(rows, g.n))
+    return max(m.bit_count() for m in maximal_clique_masks.__wrapped__(rows))
 
 
 def with_neighbours(g: Graph):

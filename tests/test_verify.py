@@ -213,7 +213,7 @@ class TestSweep:
         assert len(records) == 11 * 3
         assert sweep.discrepancies("deciders") == records
         assert sweep.discrepancies("conditions", "codec") == []
-        assert all(list(rec) == ["check", "graph6", "n", "p", "detail", "repro"]
+        assert all(list(rec) == ["check", "graph6", "n", "p", "detail", "repro", "where"]
                    for rec in records)
         # a one-shot p_values reaches every graph, not only the first
         assert sweep_catalog(3, iter((1, 2, 3))).discrepancies() == records
@@ -231,9 +231,9 @@ class TestSweep:
 
 
 class TestScanRunsTheSweepJob:
-    """`wellcov scan --exhaustive n` and the sweep both run
-    `check_graph`, so a scan reports the sweep's records of order n, in
-    the same order, apart from the scan's `where` key."""
+    """`wellcov scan --exhaustive n` and the sweep both run the same
+    jobs, so a scan reports the sweep's records of order n, in the same
+    order, each with the same `where`."""
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("patch", [flip_localization, zero_alpha2, break_codec],
@@ -242,11 +242,9 @@ class TestScanRunsTheSweepJob:
         patch(monkeypatch)
         assert cli.main(["scan", "--exhaustive", str(n), "--json"]) == cli.EXIT_VIOLATIONS
         body = json.loads(capsys.readouterr().out)
-        scanned = [{key: value for key, value in rec.items() if key != "where"}
-                   for rec in body["discrepancies"]]
         swept = [rec for rec in sweep_catalog(n).records if rec["n"] == n]
         assert swept
-        assert scanned == swept
+        assert body["discrepancies"] == swept
 
     def test_one_scan_runs_both_check_groups(self, monkeypatch, capsys):
         flip_localization(monkeypatch)
@@ -362,6 +360,44 @@ class TestPooledSweep:
         with pytest.raises(ValueError, match="capped at 5"):
             sweep_catalog(6)
         assert multiprocessing.active_children() == []
+
+
+FIND_2K2 = ("--mode", "find", "--p", "2", "--r", "2")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+class TestPooledScan:
+    """`wellcov scan --exhaustive` runs its order through the sweep's
+    driver, so with jobs of 48 pair masks n = 5 (22 jobs) goes to the
+    pool, and stdout, stderr and the exit code are the one-job run's
+    byte for byte."""
+
+    @pytest.mark.parametrize("argv, flip", [
+        ((), False), (("--json",), False), ((), True), (("--json",), True),
+        (FIND_2K2, False), ((*FIND_2K2, "--json"), False),
+    ], ids=["check", "check-json", "records", "records-json", "find", "find-json"])
+    def test_pool_matches_one_job(self, argv, flip, monkeypatch, capsys):
+        if flip:
+            flip_localization(monkeypatch)
+
+        def scan():
+            code = cli.main(["scan", "--exhaustive", "5", *argv])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+        one_job = scan()
+        pools = small_jobs(monkeypatch)
+        pooled = scan()
+
+        assert len(pools) == 1 and pools[0] is not None
+        assert multiprocessing.active_children() == []
+        assert pooled == one_job
+        assert pooled[0] == (cli.EXIT_VIOLATIONS if flip else cli.EXIT_OK)
+        if "--json" in argv and "--mode" not in argv:
+            body = json.loads(pooled[1])
+            assert body["graphs_checked"] == 1024
+            # the workers' cache counts are summed: one build per graph
+            for counts in body["table_cache"].values():
+                assert counts["misses"] == body["graphs_checked"]
 
 
 # shared values that carry a one-entry cache without being tables
