@@ -2,14 +2,12 @@
 structure: W_p membership, criticality, the W-index, and the clique-side
 mirror of all three on the complement."""
 
-from .bitset import VertexSet
 from .graphs import (
     Blowup,
     EmptySubgraphError,
     Graph,
     Subgraph,
     complement,
-    connected_components,
     delete_edge,
     edge_localization,
     induced_subgraph,

@@ -1,9 +1,7 @@
-"""Fixed-universe vertex sets stored as integer bitmasks.
+"""Vertex sets as integer bitmasks: bit v is vertex v.
 
-A VertexSet is an immutable subset of {0, ..., universe - 1}.  The
-`bits` field is a plain int, so set algebra works on raw masks and wraps
-results back into VertexSet at API boundaries; the graph functions that
-take a VertexSet check its universe against the graph.
+Every function of the package takes and returns vertex sets as plain
+int masks, and `members` is the one mask-to-vertices conversion.
 """
 
 from __future__ import annotations
@@ -16,8 +14,7 @@ MAX_UNIVERSE = 512
 
 
 def members(mask: int) -> tuple[int, ...]:
-    """The vertices of a mask, ascending.  Nothing is validated, so code
-    that only reads a raw mask's vertices need not build a VertexSet."""
+    """The vertices of a mask, ascending.  Nothing is validated."""
     out = []
     while mask:
         low = mask & -mask
@@ -28,6 +25,11 @@ def members(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class VertexSet:
+    """An immutable subset of {0, ..., universe - 1} over the mask bits.
+
+    No route or public function builds one; the class is kept because
+    the benchmark tracer counts its construction by name."""
+
     universe: int
     bits: int
 

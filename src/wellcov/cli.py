@@ -9,13 +9,16 @@ with an all-true report), family emits generator output as graph6, and
 verify runs a named suite and prints a per-check table.  Graphs travel
 on stdin/stdout as graph6; diagnostics go to stderr.  Exit codes: 0
 clean, 1 verification failures or counterexamples, 2 usage or input
-errors.
+errors, 141 (128 + SIGPIPE, what a shell reports for a writer the
+signal ends) when stdout's reader goes away, as under `| head`; that
+ends the run quietly, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -40,13 +43,14 @@ from .wp import (
     is_alpha_critical_direct,
     is_alpha_critical_fibers,
     is_in_wp_localization,
-    is_in_wp_oracle,
+    oracle_families,
     w_index,
 )
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _fail(message: str) -> int:
@@ -103,23 +107,24 @@ def _analysis_report(
     h = complement(g)
 
     w = w_index(g)
+    try:
+        # one oracle front for every p, so the superset table is built once
+        oracle = {p: bad is None for p, bad in oracle_families(g, p_values, allow_large).items()}
+    except OracleSizeError:
+        oracle = dict.fromkeys(p_values)
     memo: dict = {}
     membership = []
     for p in p_values:
-        try:
-            oracle = is_in_wp_oracle(g, p, allow_large=allow_large)
-        except OracleSizeError:
-            oracle = None
         # the ridge decider at p is this threshold on its own index
         ridge = w is not None and w >= p
         local = is_in_wp_localization(g, p, memo)
         membership.append({
             "p": p,
             "in_class": ridge,
-            "oracle": oracle,
+            "oracle": oracle[p],
             "ridge": ridge,
             "localization": local,
-            "agree": (oracle is None or oracle == ridge) and ridge == local,
+            "agree": (oracle[p] is None or oracle[p] == ridge) and ridge == local,
         })
 
     uniform, clique_size = maximal_clique_sizes_uniform(h)
@@ -403,7 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # a buffered stdout meets a gone reader here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; aim it at
+        # devnull so that flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

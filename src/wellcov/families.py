@@ -19,14 +19,14 @@ Labelings:
 
 c7_blowup:q and disjoint_cliques:r,p are the lexicographic products of
 the 7-cycle with K_q and of the edgeless graph on r vertices with K_p,
-so they carry the product's labels and classes.
+so they carry the product's labels and classes.  The classes of those
+and of complete_multipartite are vertex masks, one per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import VertexSet
 from .graphs import MAX_VERTICES, Graph, complement, lexicographic_product
 
 _PETERSEN_N = 10
@@ -87,7 +87,7 @@ class FamilySpec:
 class FamilyGraph:
     spec: FamilySpec
     graph: Graph
-    classes: tuple[VertexSet, ...] | None
+    classes: tuple[int, ...] | None
 
 
 def _cycle(spec: FamilySpec) -> FamilyGraph:
@@ -124,13 +124,10 @@ def _complete_multipartite(spec: FamilySpec) -> FamilyGraph:
     classes = []
     offset = 0
     for size in parts:
-        classes.append(VertexSet(n, ((1 << size) - 1) << offset))
+        classes.append(((1 << size) - 1) << offset)
         offset += size
-    rows = []
-    for c in classes:
-        for _ in c:
-            rows.append(((1 << n) - 1) & ~c.bits)
-    return FamilyGraph(spec, Graph(n, tuple(rows)), tuple(classes))
+    rows = tuple(((1 << n) - 1) & ~c for c in classes for _ in range(c.bit_count()))
+    return FamilyGraph(spec, Graph(n, rows), tuple(classes))
 
 
 def _petersen_graph() -> Graph:

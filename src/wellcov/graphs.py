@@ -5,7 +5,8 @@ neighbours of v.  Construction validates symmetry and irreflexivity, so
 every Graph in circulation is a simple undirected graph.  Zero-vertex
 graphs are not representable: an operation that would produce one
 (edge_localization) returns None instead, and induced_subgraph rejects an
-empty keep set outright so the two cases stay distinguishable.
+empty keep set outright so the two cases stay distinguishable.  Vertex
+sets, as arguments and in results, are int masks: bit v is vertex v.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import MAX_UNIVERSE, VertexSet
+from .bitset import MAX_UNIVERSE, members
 
 MAX_VERTICES = MAX_UNIVERSE
 
@@ -138,13 +139,14 @@ def induced_rows(rows: Sequence[int], keep: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def induced_subgraph(g: Graph, keep: VertexSet) -> Subgraph:
-    if keep.universe != g.n:
-        raise ValueError("vertex set universe does not match the graph")
+def induced_subgraph(g: Graph, keep: int) -> Subgraph:
+    """The subgraph induced on the vertex mask keep, relabeled."""
+    if not 0 <= keep < 1 << g.n:
+        raise ValueError(f"vertex mask has bits outside 0..{g.n - 1}")
     if not keep:
         raise EmptySubgraphError("induced subgraph on an empty vertex set")
-    kept = keep.to_tuple()
-    return Subgraph(Graph(len(kept), induced_rows(g.adj, keep.bits)), kept)
+    kept = members(keep)
+    return Subgraph(Graph(len(kept), induced_rows(g.adj, keep)), kept)
 
 
 def edge_localization(g: Graph, e: tuple[int, int]) -> Subgraph | None:
@@ -159,15 +161,16 @@ def edge_localization(g: Graph, e: tuple[int, int]) -> Subgraph | None:
     keep = ((1 << g.n) - 1) & ~(g.adj[u] | g.adj[v])
     if keep == 0:
         return None
-    return induced_subgraph(g, VertexSet(g.n, keep))
+    return induced_subgraph(g, keep)
 
 
 @dataclass(frozen=True, slots=True)
 class Blowup:
-    """A graph whose vertex i*q + k sits in class i of the substitution."""
+    """A graph whose vertex i*q + k sits in class i of the substitution;
+    classes[i] is the mask of class i."""
 
     graph: Graph
-    classes: tuple[VertexSet, ...]
+    classes: tuple[int, ...]
 
 
 def lexicographic_product(g: Graph, q: int) -> Blowup:
@@ -193,8 +196,7 @@ def lexicographic_product(g: Graph, q: int) -> Blowup:
         block = class_mask << v * q
         for k in range(q):
             rows.append(spread | block & ~(1 << v * q + k))
-    classes = tuple(VertexSet(n, class_mask << v * q) for v in range(g.n))
-    return Blowup(Graph(n, tuple(rows)), classes)
+    return Blowup(Graph(n, tuple(rows)), tuple(class_mask << v * q for v in range(g.n)))
 
 
 def component_masks(rows: Sequence[int], flip: int = 0) -> tuple[int, ...]:
@@ -220,7 +222,3 @@ def component_masks(rows: Sequence[int], flip: int = 0) -> tuple[int, ...]:
         out.append(unseen ^ rest)
     return tuple(out)
 
-
-def connected_components(g: Graph) -> tuple[VertexSet, ...]:
-    """Components as vertex sets, ordered by smallest member."""
-    return tuple(VertexSet(g.n, comp) for comp in component_masks(g.adj))

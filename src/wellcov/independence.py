@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .bitset import VertexSet
+from .bitset import members
 from .graphs import Graph, complement, component_masks
 
 # The oracle's tuple enumeration is exponential, so `wp` refuses graphs
@@ -466,20 +466,21 @@ def profile(g: Graph) -> IndependenceProfile:
 TABLE_BUILDERS = (maximal_clique_masks, maximal_clique_size_range, profile)
 
 
-def fiber(g: Graph, s: VertexSet) -> VertexSet:
-    """Vertices completing the independent set s to maximum size.
+def fiber(g: Graph, s: int) -> int:
+    """Vertices completing the independent set s to maximum size, as a
+    mask; s is a vertex mask too.
 
     Requires s independent with exactly alpha(g) - 1 vertices; any
     one-vertex extension of such a set is automatically maximum, so the
     fiber is the whole complement of the closed neighborhood.
     """
-    if s.universe != g.n:
-        raise ValueError("vertex set universe does not match the graph")
-    closed = s.bits
-    for v in s:
-        if g.adj[v] & s.bits:
+    if not 0 <= s < 1 << g.n:
+        raise ValueError(f"vertex mask has bits outside 0..{g.n - 1}")
+    closed = s
+    for v in members(s):
+        if g.adj[v] & s:
             raise ValueError("set is not independent")
         closed |= g.adj[v]
-    if len(s) != independence_number(g) - 1:
+    if s.bit_count() != independence_number(g) - 1:
         raise ValueError("set size is not alpha - 1")
-    return VertexSet(g.n, (1 << g.n) - 1 & ~closed)
+    return (1 << g.n) - 1 & ~closed

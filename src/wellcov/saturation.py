@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .bitset import VertexSet
+from .bitset import members
 from .graphs import Graph, component_masks
 from .independence import alpha_within, maximal_clique_size_range, split_parts
 
@@ -92,20 +92,21 @@ def maximal_clique_sizes_uniform(h: Graph) -> tuple[bool, int]:
     return (least == largest, largest)
 
 
-def clique_codegree(h: Graph, q: VertexSet) -> int:
-    """Number of vertices extending the clique q by one vertex.
+def clique_codegree(h: Graph, q: int) -> int:
+    """Number of vertices extending the clique q, a vertex mask, by one
+    vertex.
 
     The empty clique is allowed and has codegree n: every vertex is a
     1-clique.
     """
-    if q.universe != h.n:
-        raise ValueError("vertex set universe does not match the graph")
+    if not 0 <= q < 1 << h.n:
+        raise ValueError(f"vertex mask has bits outside 0..{h.n - 1}")
     common = (1 << h.n) - 1
-    for v in q:
-        if q.bits & ~h.adj[v] & ~(1 << v):
+    for v in members(q):
+        if q & ~h.adj[v] & ~(1 << v):
             raise ValueError("the given set is not a clique")
         common &= h.adj[v]
-    return (common & ~q.bits).bit_count()
+    return (common & ~q).bit_count()
 
 
 @lru_cache(maxsize=1)

@@ -42,8 +42,10 @@ The sharing rule, precisely:
     The complement-side specializations `alpha2_check` and
     `alpha3_check` are levels too, so only the oracle runs per p.
   * The oracle's own superset table does not depend on p either: one
-    oracle front builds it once per graph for all the p values asked
-    and runs only the family search at each p.
+    oracle front, `oracle_families`, builds it once per graph for all
+    the p values asked and runs only the family search at each p.  The
+    theorem report and `wellcov analyze` ask it once for all their p
+    values.
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
   * Caches sit only on shared primitives, one entry each: the table
@@ -76,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .bitset import VertexSet, members
+from .bitset import members
 from .graphs import Graph, complement, component_masks, edge_localization, induced_rows
 from .independence import (
     ORACLE_VERTEX_LIMIT,
@@ -180,14 +182,14 @@ def _family_search(
     return search(0, 0, 0)
 
 
-def _oracle(
+def oracle_families(
     g: Graph, p_values: Iterable[int], allow_large: bool
 ) -> dict[int, tuple[int, ...] | None]:
-    """The oracle's one front for the public entry points and the
-    theorem report: argument checks and the size guard, then for each
-    p the unextendable family as masks, or None when g is in W_p.  The
-    superset table is built once for all the p values, and every p runs
-    its own family search on it.
+    """The oracle's one front for the public entry points, the theorem
+    report and `wellcov analyze`: argument checks and the size guard,
+    then for each p the unextendable family as masks, or None when g is
+    in W_p.  The superset table is built once for all the p values, and
+    every p runs its own family search on it.
 
     With fewer than p vertices the all-empty family already fails, since
     p pairwise disjoint nonempty maximum sets cannot fit.
@@ -216,17 +218,15 @@ def _oracle(
 
 def is_in_wp_oracle(g: Graph, p: int, *, allow_large: bool = False) -> bool:
     """Definition-level membership test by exhaustive tuple extension."""
-    return _oracle(g, (p,), allow_large)[p] is None
+    return oracle_families(g, (p,), allow_large)[p] is None
 
 
 def wp_oracle_counterexample(
     g: Graph, p: int, *, allow_large: bool = False
-) -> tuple[VertexSet, ...] | None:
-    """An unextendable disjoint family witnessing non-membership."""
-    bad = _oracle(g, (p,), allow_large)[p]
-    if bad is None:
-        return None
-    return tuple(VertexSet(g.n, m) for m in bad)
+) -> tuple[int, ...] | None:
+    """An unextendable disjoint family witnessing non-membership, as
+    vertex masks."""
+    return oracle_families(g, (p,), allow_large)[p]
 
 
 def is_in_wp_ridge(g: Graph, p: int) -> bool:
@@ -503,7 +503,7 @@ def theorem_reports(
     search once per p, and the criticality half of condition (a) once,
     when some p passes the oracle."""
     # the oracle runs first, so its argument and size checks fail fast
-    bad = _oracle(g, p_values, allow_large)
+    bad = oracle_families(g, p_values, allow_large)
     loose = non_critical_edge(g) if None in bad.values() else None
     r = independence_number(g)
     levels = {"cond_b": _cond_b(g, profile(g)), "cond_c": _cond_c(g), "cond_d": _cond_d(g, r)}

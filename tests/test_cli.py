@@ -2,11 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from wellcov.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, _progress, main
+import wellcov
+from wellcov import wp
+from wellcov.cli import (
+    EXIT_BROKEN_PIPE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, _progress, main)
 
 CYCLE12_REASON = ("oracle capped at 10 vertices; got 12 "
                   "(pass allow_large=True, --allow-large on the command line, to override)")
@@ -69,6 +75,20 @@ class TestAnalyze:
         assert scan["empty_localizations"] == [[1, 2]]
         assert scan["not_in_lower_class"] == []
         assert scan["all_pass"] is False
+
+    def test_one_superset_table_per_request(self, capsys, monkeypatch):
+        # analyze asks the oracle's one front for all its p values
+        built = []
+        original = wp._superset_table
+
+        def counting(g):
+            built.append(g)
+            return original(g)
+        monkeypatch.setattr(wp, "_superset_table", counting)
+        code, out, _ = run(capsys, "analyze", "petersen_complement")
+        assert code == EXIT_OK
+        assert [m["oracle"] for m in json.loads(out)["membership"]] == [True, True, True]
+        assert len(built) == 1
 
     def test_oracle_skipped_past_guard(self, capsys):
         _, out, _ = run(capsys, "analyze", "c7_blowup:q=2")
@@ -315,3 +335,34 @@ class TestVerify:
             "catalog n=7: 0/2097152",
             "catalog n=7: 4096/2097152, 2048 graphs/s, ETA 1022 s",
         ]
+
+
+class TestClosedPipe:
+    """A reader that leaves early, as `head` does, ends the run quietly:
+    one exit code and nothing on stderr, whether stdout is buffered or
+    not and whichever subcommand writes."""
+
+    SRC = Path(wellcov.__file__).resolve().parent.parent
+
+    @pytest.mark.parametrize("argv,unbuffered", [
+        (["family", "petersen"], False),
+        (["family", "petersen"], True),
+        # the write fails while the pool's workers are running
+        (["scan", "--exhaustive", "6", "--mode", "find", "--p", "3", "--r", "2"], True),
+    ], ids=["family-buffered", "family-unbuffered", "scan-pool-unbuffered"])
+    def test_quiet_exit(self, argv, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(self.SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        # the read end is closed before the command starts, so its
+        # first write to stdout fails
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "wellcov.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert proc.stderr == b""
+        assert proc.returncode == EXIT_BROKEN_PIPE

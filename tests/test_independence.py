@@ -18,7 +18,6 @@ import pytest
 
 from wellcov import (
     Graph,
-    VertexSet,
     complement,
     delete_edge,
     fiber,
@@ -33,6 +32,7 @@ from wellcov import (
     profile,
 )
 from wellcov import independence, saturation
+from wellcov.bitset import members
 from wellcov.catalog import labeled_graphs
 from wellcov.independence import (
     alpha_within,
@@ -53,7 +53,7 @@ def small_catalog(max_n: int):
 class TestAgainstNaive:
     def test_maximal_sets_match(self):
         for g in small_catalog(5):
-            got = [VertexSet(g.n, m).to_tuple() for m in maximal_independent_set_masks(g)]
+            got = [members(m) for m in maximal_independent_set_masks(g)]
             assert sorted(got) == _naive.maximal_independent_sets(g)
 
     def test_maximal_cliques_are_the_complements_facets(self):
@@ -348,9 +348,9 @@ class TestProfile:
         assert len(maximal_independent_set_masks(c5)) == 5
         # ridges of C_5 are its five vertices; each fiber is the
         # nonneighbor pair, and the first ridge, (0,), has fiber (2, 3)
-        assert sorted(VertexSet(5, f).to_tuple() for f in prof.fibers) == [
+        assert sorted(members(f) for f in prof.fibers) == [
             (0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-        assert VertexSet(5, prof.thin_ridge).to_tuple() == (0,)
+        assert members(prof.thin_ridge) == (0,)
         assert prof.min_fiber_size == 2
         assert_profile_matches_naive(c5)
 
@@ -360,17 +360,17 @@ class TestProfile:
         assert not prof.is_pure
         # ridges exist regardless of purity: (1, 2), (1, 3) and (2, 3),
         # each completed by the third leaf alone
-        assert sorted(VertexSet(4, f).to_tuple() for f in prof.fibers) == [(1,), (2,), (3,)]
+        assert sorted(members(f) for f in prof.fibers) == [(1,), (2,), (3,)]
         assert prof.min_fiber_size == 1
-        assert VertexSet(4, prof.thin_ridge).to_tuple() == (1, 2)
+        assert members(prof.thin_ridge) == (1, 2)
         assert_profile_matches_naive(star)
 
     def test_complete_graph_single_empty_ridge(self):
         k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
         prof = profile(k4)
         assert prof.alpha == 1
-        assert VertexSet(4, prof.thin_ridge).to_tuple() == ()
-        assert [VertexSet(4, f).to_tuple() for f in prof.fibers] == [(0, 1, 2, 3)]
+        assert members(prof.thin_ridge) == ()
+        assert [members(f) for f in prof.fibers] == [(0, 1, 2, 3)]
         assert prof.min_fiber_size == 4
         assert_profile_matches_naive(k4)
 
@@ -381,13 +381,13 @@ class TestProfile:
                 vs: sum(1 << x for x in _naive.outside_closed_neighbourhood(g, vs))
                 for vs in _naive.independent_sets(g) if len(vs) == prof.alpha - 1}
             assert prof.fibers == set(outside.values())
-            thin = VertexSet(g.n, prof.thin_ridge).to_tuple()
+            thin = members(prof.thin_ridge)
             assert outside[thin].bit_count() == prof.min_fiber_size
 
     def test_fibers_induce_cliques(self):
         for g in small_catalog(5):
             for f in profile(g).fibers:
-                vs = VertexSet(g.n, f).to_tuple()
+                vs = members(f)
                 assert all(
                     g.has_edge(u, v)
                     for i, u in enumerate(vs) for v in vs[i + 1:])
@@ -395,16 +395,17 @@ class TestProfile:
 
 class TestFiberValidation:
     def test_fiber_of_ridge(self, c7):
-        assert fiber(c7, VertexSet.of(7, [1, 4])).to_tuple() == (6,)
+        assert fiber(c7, 1 << 1 | 1 << 4) == 1 << 6
 
     def test_rejects_wrong_size(self, c7):
-        with pytest.raises(ValueError):
-            fiber(c7, VertexSet.of(7, [1]))
+        with pytest.raises(ValueError, match="alpha - 1"):
+            fiber(c7, 1 << 1)
 
     def test_rejects_dependent_set(self, c7):
-        with pytest.raises(ValueError):
-            fiber(c7, VertexSet.of(7, [0, 1]))
+        with pytest.raises(ValueError, match="not independent"):
+            fiber(c7, 0b11)
 
-    def test_rejects_universe_mismatch(self, c7):
-        with pytest.raises(ValueError):
-            fiber(c7, VertexSet.of(8, [1, 4]))
+    @pytest.mark.parametrize("mask", [1 << 7 | 1 << 1, -1])
+    def test_rejects_mask_outside_the_graph(self, c7, mask):
+        with pytest.raises(ValueError, match="outside 0..6"):
+            fiber(c7, mask)

@@ -13,7 +13,6 @@ from wellcov import (
     HYPOTHESIS_UNMET,
     VIOLATION,
     Graph,
-    VertexSet,
     alpha2_check,
     alpha3_check,
     bound_report,
@@ -52,7 +51,7 @@ def naive_saturated(g: Graph, t: int) -> bool:
 
 def naive_min_codegree(h: Graph, r: int) -> int:
     """The validating codegree, minimized over the naive (r-1)-cliques."""
-    return min(clique_codegree(h, VertexSet.of(h.n, q)) for q in _naive.cliques_of_size(h, r - 1))
+    return min(clique_codegree(h, sum(1 << v for v in q)) for q in _naive.cliques_of_size(h, r - 1))
 
 
 class TestSaturationAgainstNaive:
@@ -88,13 +87,13 @@ class TestSaturationAgainstNaive:
 
 class TestCodegree:
     def test_empty_clique_convention(self, c5):
-        assert clique_codegree(c5, VertexSet(5, 0)) == 5
+        assert clique_codegree(c5, 0) == 5
         assert min_clique_codegree(c5, 1) == 5
 
     def test_single_vertex(self, petersen):
         # codegree of a vertex counts its neighbors
         for v in range(10):
-            assert clique_codegree(petersen, VertexSet.of(10, [v])) == 3
+            assert clique_codegree(petersen, 1 << v) == 3
         assert min_clique_codegree(petersen, 2) == 3
 
     def test_complete_graph(self):
@@ -103,8 +102,13 @@ class TestCodegree:
         assert min_clique_codegree(k5, 3) == 3
 
     def test_rejects_non_clique(self, c5):
-        with pytest.raises(ValueError):
-            clique_codegree(c5, VertexSet.of(5, [0, 2]))
+        with pytest.raises(ValueError, match="not a clique"):
+            clique_codegree(c5, 1 << 0 | 1 << 2)
+
+    @pytest.mark.parametrize("mask", [1 << 5, -1])
+    def test_rejects_mask_outside_the_graph(self, c5, mask):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            clique_codegree(c5, mask)
 
     def test_rejects_when_no_cliques_exist(self):
         e3 = Graph.from_edges(3, [])

@@ -33,9 +33,10 @@ from wellcov import (
     w_index,
 )
 from wellcov import cli, independence, saturation, verify
+from wellcov.bitset import VertexSet
 from wellcov.catalog import graph_from_pair_mask, labeled_graphs
 from wellcov.verify import catalog_suite
-from tests._specs import ANALYZE_SPECS
+from tests._specs import ANALYZE_SPECS, STRUCTURED_SPECS
 
 
 def flip_localization(monkeypatch):
@@ -480,6 +481,29 @@ class TestTableCache:
         for spec in ANALYZE_SPECS:
             assert cli.main(["analyze", spec]) == 0
         assert calls == []
+
+    def test_no_product_path_builds_a_vertex_set(self, monkeypatch, capsys):
+        # vertex sets are int masks at every API edge, so VertexSet,
+        # kept for the benchmark tracer, is never constructed
+        builds = []
+        original = VertexSet.__post_init__
+
+        def counting(self):
+            builds.append(self)
+            original(self)
+        monkeypatch.setattr(VertexSet, "__post_init__", counting)
+        assert sweep_catalog(5).ok
+        for spec in ANALYZE_SPECS:
+            assert cli.main(["analyze", spec]) == 0
+            assert cli.main(["analyze", spec, "--edge-scan"]) == 0
+        assert examples_suite().passed and codec_suite().passed
+        for spec in STRUCTURED_SPECS:
+            assert cli.main(["family", spec]) == 0
+        capsys.readouterr()
+        assert builds == []
+        # the count is live
+        VertexSet(1, 1)
+        assert len(builds) == 1
 
     def test_shared_values_miss_once_per_graph_and_side(self):
         # a graph's complement, alpha and minimum codegree are computed

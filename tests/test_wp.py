@@ -36,7 +36,7 @@ from wellcov import (
     wp_oracle_counterexample,
 )
 from wellcov import wp
-from wellcov.bitset import VertexSet, members
+from wellcov.bitset import members
 from wellcov.catalog import labeled_graphs
 
 from tests import _naive
@@ -71,17 +71,15 @@ class TestDeciders:
         # witness in the theorem report
         for g in small_catalog(5):
             levels = range(1, g.n + 2)
-            fronts = wp._oracle(g, levels, False)
+            fronts = wp.oracle_families(g, levels, False)
             reports = theorem_reports(g, levels)
             assert list(fronts) == list(reports) == list(levels)
             for p in levels:
                 expected = _naive.first_unextendable(g, p)
                 witness = wp_oracle_counterexample(g, p)
-                family = None if witness is None else tuple(
-                    part.to_tuple() for part in witness)
+                family = None if witness is None else tuple(map(members, witness))
                 assert family == expected
-                assert fronts[p] == (None if witness is None else tuple(
-                    part.bits for part in witness))
+                assert fronts[p] == witness
                 named = reports[p].witnesses.get("cond_a", {})
                 if expected is None:
                     assert named.get("kind") != "unextendable_family"
@@ -93,11 +91,11 @@ class TestDeciders:
             raise AssertionError("table built before the argument checks")
         monkeypatch.setattr(wp, "_superset_table", no_table)
         with pytest.raises(ValueError, match="at least 1"):
-            wp._oracle(generate("cycle:n=11").graph, (1, 0), False)
+            wp.oracle_families(generate("cycle:n=11").graph, (1, 0), False)
         with pytest.raises(OracleSizeError):
-            wp._oracle(generate("cycle:n=11").graph, (1, 2), False)
+            wp.oracle_families(generate("cycle:n=11").graph, (1, 2), False)
         # below p vertices the all-empty family needs no table either
-        assert wp._oracle(generate("complete:n=2").graph, (3, 4), False) == {
+        assert wp.oracle_families(generate("complete:n=2").graph, (3, 4), False) == {
             3: (0, 0, 0), 4: (0, 0, 0, 0)}
 
     def test_membership_is_downward_monotone(self):
@@ -112,8 +110,7 @@ class TestDeciders:
         assert not is_in_wp_ridge(k2, 3)
         assert not is_in_wp_localization(k2, 3)
         # the witness is the all-empty family
-        assert wp_oracle_counterexample(k2, 3) == (
-            VertexSet(2, 0), VertexSet(2, 0), VertexSet(2, 0))
+        assert wp_oracle_counterexample(k2, 3) == (0, 0, 0)
 
     def test_known_values(self, c5, c7, c4, star):
         assert is_in_wp_oracle(c5, 2) and not is_in_wp_oracle(c5, 3)
@@ -141,7 +138,7 @@ class TestDeciders:
                 witness = wp_oracle_counterexample(g, p)
                 if witness is None:
                     continue
-                family = [part.to_tuple() for part in witness]
+                family = [members(part) for part in witness]
                 assert len(family) == p
                 assert all(_naive.is_independent(g, part) for part in family)
                 assert _naive.pairwise_disjoint(family)
@@ -308,7 +305,7 @@ def local_index_by_subgraphs(g: Graph, memo: dict) -> int:
         full = (1 << g.n) - 1
         for v in range(g.n):
             keep = full & ~(g.adj[v] | 1 << v)
-            sub = induced_subgraph(g, VertexSet(g.n, keep)).graph if keep else None
+            sub = induced_subgraph(g, keep).graph if keep else None
             if sub is None or independence_number(sub) != alpha - 1:
                 result = 0
                 break
@@ -413,7 +410,7 @@ class TestEdgeScan:
         assert len(passing) == 7 and len(failing) == 28
         classes = fam.classes
         for i, cls in enumerate(classes):
-            u, v = cls.to_tuple()
+            u, v = members(cls)
             assert by_edge[(u, v)].in_lower_class
         assert not any(e.empty for e in entries)
 
@@ -529,7 +526,7 @@ class TestTheoremReport:
                 assert main_theorem_report(g, p).all_equal
 
     def test_witness_sets_are_vertex_set_tuples(self):
-        # witnesses and VertexSet both read their vertices off members
+        # the witnesses read their vertices off members
         for n in range(11):
             for mask in range(1 << n):
                 assert members(mask) == tuple(v for v in range(n) if mask >> v & 1)
