@@ -6,7 +6,6 @@ from .graphs import (
     Blowup,
     EmptySubgraphError,
     Graph,
-    Subgraph,
     complement,
     delete_edge,
     edge_localization,
@@ -23,7 +22,6 @@ from .independence import (
     profile,
 )
 from .wp import (
-    EdgeLocalizationEntry,
     GorensteinReport,
     OracleSizeError,
     TheoremReport,

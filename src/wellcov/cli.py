@@ -8,10 +8,11 @@ sweep's worker pool at n = 6 (under `--mode find` it emits the graphs
 with an all-true report), family emits generator output as graph6, and
 verify runs a named suite and prints a per-check table.  Graphs travel
 on stdin/stdout as graph6; diagnostics go to stderr.  Exit codes: 0
-clean, 1 verification failures or counterexamples, 2 usage or input
-errors, 141 (128 + SIGPIPE, what a shell reports for a writer the
-signal ends) when stdout's reader goes away, as under `| head`; that
-ends the run quietly, with nothing on stderr.
+clean, 1 verification failures or counterexamples (under analyze, two
+routes that disagree), 2 usage or input errors, 141 (128 + SIGPIPE,
+what a shell reports for a writer the signal ends) when stdout's
+reader goes away, as under `| head`; that ends the run quietly, with
+nothing on stderr.
 """
 
 from __future__ import annotations
@@ -183,18 +184,19 @@ def _analysis_report(
     }
 
     if edge_scan:
+        # one scan for every p: W_{p-1} is a threshold on each W-index
+        entries = edge_localization_scan(g)
+        empty = [list(e) for e, keep, _ in entries if not keep]
         scans = []
         for p in p_values:
             if p < 2:
                 continue
-            entries = edge_localization_scan(g, p)
-            failing = [e for e in entries if e.in_lower_class is False]
-            empty = [e for e in entries if e.empty]
+            failing = [list(e) for e, keep, w in entries if keep and (w is None or w < p - 1)]
             scans.append({
                 "p": p,
                 "edges_scanned": len(entries),
-                "empty_localizations": [list(e.edge) for e in empty],
-                "not_in_lower_class": [list(e.edge) for e in failing],
+                "empty_localizations": empty,
+                "not_in_lower_class": failing,
                 "all_pass": not failing and not empty,
             })
         report["edge_localization"] = scans
@@ -217,7 +219,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         allow_large=args.allow_large, edge_scan=args.edge_scan)
     json.dump(report, sys.stdout, indent=2)
     print()
-    return EXIT_OK
+    # a failing edge scan is a fact about g; only disagreeing routes fail
+    agree = report["alpha_critical"]["agree"] and all(m["agree"] for m in report["membership"])
+    return EXIT_OK if agree else EXIT_VIOLATIONS
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -263,6 +267,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     # check mode's hits are the sweep's, which scan does not report
                     for hit in result.hits if args.mode == "find" else ():
                         print(hit["graph6"])
+                # a buffered stdout would meet a gone reader only at exit
+                sys.stdout.flush()
                 found.add(result)
 
     # find mode reports its hits, check mode its discrepancy records

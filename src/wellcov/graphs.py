@@ -3,10 +3,10 @@
 Vertices are 0..n-1 and row v is an int whose set bits are the
 neighbours of v.  Construction validates symmetry and irreflexivity, so
 every Graph in circulation is a simple undirected graph.  Zero-vertex
-graphs are not representable: an operation that would produce one
-(edge_localization) returns None instead, and induced_subgraph rejects an
-empty keep set outright so the two cases stay distinguishable.  Vertex
-sets, as arguments and in results, are int masks: bit v is vertex v.
+graphs are not representable: where one would be left,
+edge_localization returns the empty mask, and induced_subgraph rejects
+an empty keep set outright.  Vertex sets, as arguments and in results,
+are int masks: bit v is vertex v.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .bitset import MAX_UNIVERSE, members
+from .bitset import MAX_UNIVERSE
 
 MAX_VERTICES = MAX_UNIVERSE
 
@@ -88,18 +88,6 @@ class Graph:
         return self.adj[v].bit_count()
 
 
-@dataclass(frozen=True, slots=True)
-class Subgraph:
-    """An induced subgraph together with its vertex relabeling.
-
-    kept[i] is the parent label of the new vertex i; relabeling preserves
-    the parent order.
-    """
-
-    graph: Graph
-    kept: tuple[int, ...]
-
-
 @lru_cache(maxsize=1)
 def complement(g: Graph) -> Graph:
     """The complement graph, built through the checking constructor.
@@ -139,18 +127,19 @@ def induced_rows(rows: Sequence[int], keep: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def induced_subgraph(g: Graph, keep: int) -> Subgraph:
-    """The subgraph induced on the vertex mask keep, relabeled."""
+def induced_subgraph(g: Graph, keep: int) -> Graph:
+    """The subgraph induced on the vertex mask keep, relabeled: new
+    vertex i is members(keep)[i]."""
     if not 0 <= keep < 1 << g.n:
         raise ValueError(f"vertex mask has bits outside 0..{g.n - 1}")
     if not keep:
         raise EmptySubgraphError("induced subgraph on an empty vertex set")
-    kept = members(keep)
-    return Subgraph(Graph(len(kept), induced_rows(g.adj, keep)), kept)
+    return Graph(keep.bit_count(), induced_rows(g.adj, keep))
 
 
-def edge_localization(g: Graph, e: tuple[int, int]) -> Subgraph | None:
-    """Delete N(u) | N(v) for an edge uv; None when nothing remains.
+def edge_localization(g: Graph, e: tuple[int, int]) -> int:
+    """The vertex mask left once N(u) | N(v) is deleted for an edge uv;
+    0 when nothing remains.
 
     The endpoints are adjacent, so both fall inside the deleted set and
     this agrees with localizing at the vertex pair.
@@ -158,10 +147,7 @@ def edge_localization(g: Graph, e: tuple[int, int]) -> Subgraph | None:
     u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"({u}, {v}) is not an edge")
-    keep = ((1 << g.n) - 1) & ~(g.adj[u] | g.adj[v])
-    if keep == 0:
-        return None
-    return induced_subgraph(g, keep)
+    return ((1 << g.n) - 1) & ~(g.adj[u] | g.adj[v])
 
 
 @dataclass(frozen=True, slots=True)

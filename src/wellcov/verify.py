@@ -48,7 +48,7 @@ from .bitset import members
 from .catalog import catalog_size, check_order, graph_from_pair_mask
 from .families import generate
 from .graph6 import Graph6Error, decode, encode, iter_stream
-from .graphs import Graph, complement, edge_localization
+from .graphs import Graph, complement, edge_localization, induced_subgraph
 from .independence import TABLE_BUILDERS, fiber, independence_number, is_well_covered
 from .saturation import (
     VIOLATION,
@@ -187,6 +187,9 @@ def corollary_discrepancies(
         if lhs3 != rhs3:
             out.append(_record(
                 g, "alpha3", f"complement_side={lhs3} theorem_side={rhs3}", p))
+        # p disjoint maximum independent sets need r * p vertices
+        if rep.oracle and g.n < r * p:
+            out.append(_record(g, "bounds", f"n={g.n} below r*p={r * p}", p))
         if rep.cond_a:
             br = bound_report(h, r, p, shape)
             if not (br.edge_bounds_ok and br.min_degree_ok and br.universal_vertex_ok):
@@ -544,13 +547,15 @@ def _petersen_complement_checks() -> list[tuple[str, bool]]:
     checks.append(("ridge_p4_out", not is_in_wp_ridge(g, 4)))
     checks.append(("localization_p4_out", not is_in_wp_localization(g, 4, memo)))
 
-    scan3 = edge_localization_scan(g, 3)
-    scan2 = edge_localization_scan(g, 2)
-    checks.append(("scan_covers_all_edges", len(scan3) == 30))
+    # one scan for both levels: W_2 and W_1 are thresholds on each W-index
+    scan = edge_localization_scan(g)
+    checks.append(("scan_covers_all_edges", len(scan) == 30))
     checks.append(("localizations_single_vertex", all(
-        not e.empty and e.vertex_count == 1 for e in scan3)))
-    checks.append(("localizations_not_in_w2", all(e.in_lower_class is False for e in scan3)))
-    checks.append(("localizations_in_w1", all(e.in_lower_class is True for e in scan2)))
+        keep.bit_count() == 1 for _, keep, _ in scan)))
+    checks.append(("localizations_not_in_w2", all(
+        keep and (w is None or w < 2) for _, keep, w in scan)))
+    checks.append(("localizations_in_w1", all(
+        keep and w is not None and w >= 1 for _, keep, w in scan)))
 
     br = bound_report(petersen, 2, 3, clique_union_shape(g))
     checks.append(("bound_saturation", br.saturation_edge_bound == 9))
@@ -581,13 +586,12 @@ def _c7_blowup_checks() -> list[tuple[str, bool]]:
         checks.append((f"{tag}_ridge_fiber_is_class6", fib == classes[6]))
         checks.append((f"{tag}_ridge_fiber_size", fib.bit_count() == q))
 
-        sub = edge_localization(g, (members(classes[1])[0], members(classes[2])[0]))
-        expected = classes[4] | classes[5] | classes[6]
+        keep = edge_localization(g, (members(classes[1])[0], members(classes[2])[0]))
         checks.append((f"{tag}_localization_classes_456",
-                       sub is not None and sub.kept == members(expected)))
+                       keep == classes[4] | classes[5] | classes[6]))
         if q >= 2:
             checks.append((f"{tag}_localization_not_well_covered",
-                           sub is not None and not is_well_covered(sub.graph)))
+                           keep != 0 and not is_well_covered(induced_subgraph(g, keep))))
     return checks
 
 

@@ -40,7 +40,9 @@ The sharing rule, precisely:
     checks read the ridge decider the same way, as a threshold on one
     `w_index` per graph, instead of calling `is_in_wp_ridge` at each p.
     The complement-side specializations `alpha2_check` and
-    `alpha3_check` are levels too, so only the oracle runs per p.
+    `alpha3_check` are levels too, and so is the edge localization
+    scan: it reads one `w_index` per edge's localization, and W_{p-1}
+    membership is a threshold on it.  So only the oracle runs per p.
   * The oracle's own superset table does not depend on p either: one
     oracle front, `oracle_families`, builds it once per graph for all
     the p values asked and runs only the family search at each p.  The
@@ -79,7 +81,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .bitset import members
-from .graphs import Graph, complement, component_masks, edge_localization, induced_rows
+from .graphs import (
+    Graph, complement, component_masks, edge_localization, induced_rows, induced_subgraph)
 from .independence import (
     ORACLE_VERTEX_LIMIT,
     IndependenceProfile,
@@ -522,34 +525,19 @@ def main_theorem_report(g: Graph, p: int, *, allow_large: bool = False) -> Theor
     return theorem_reports(g, (p,), allow_large=allow_large)[p]
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeLocalizationEntry:
-    """Verdict for one edge: the localization's size and class, or the
-    explicit empty-localization signal."""
+def edge_localization_scan(g: Graph) -> tuple[tuple[tuple[int, int], int, int | None], ...]:
+    """For each edge uv, in `g.edges()` order: the edge, the keep mask of
+    its localization g - N(u) - N(v), and the localization's W-index,
+    None when the mask is 0 or the localization is not well-covered.
 
-    edge: tuple[int, int]
-    empty: bool
-    vertex_count: int
-    in_lower_class: bool | None
-
-
-def edge_localization_scan(g: Graph, p: int) -> tuple[EdgeLocalizationEntry, ...]:
-    """For each edge, is the edge localization in W_{p-1}?
-
-    Empty localizations get a distinct verdict instead of a class flag.
+    The localization lies in W_{p-1} when its W-index is at least p - 1,
+    the ridge decider's own threshold, so one scan answers every p.
     """
-    if p < 2:
-        raise ValueError("the scan needs p >= 2 so the lower class exists")
-    entries = []
+    out = []
     for e in g.edges():
-        sub = edge_localization(g, e)
-        if sub is None:
-            entries.append(EdgeLocalizationEntry(e, True, 0, None))
-        else:
-            entries.append(
-                EdgeLocalizationEntry(e, False, sub.graph.n, is_in_wp_ridge(sub.graph, p - 1))
-            )
-    return tuple(entries)
+        keep = edge_localization(g, e)
+        out.append((e, keep, w_index(induced_subgraph(g, keep)) if keep else None))
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)

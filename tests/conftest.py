@@ -1,16 +1,22 @@
+import sys
+
 import pytest
 
 from wellcov import Graph, generate
-from wellcov.graphs import complement
-from wellcov.independence import TABLE_BUILDERS, independence_number
-from wellcov.saturation import min_clique_codegree
+
+
+def cached_functions() -> set:
+    """Every object with a `cache_clear` in the loaded `wellcov` modules."""
+    return {obj for name, mod in list(sys.modules.items())
+            if name == "wellcov" or name.startswith("wellcov.")
+            for obj in vars(mod).values() if hasattr(obj, "cache_clear")}
 
 
 @pytest.fixture(autouse=True)
-def fresh_table_caches():
+def fresh_caches():
     # no test reads a value that an earlier test left in a cache
-    for builder in (*TABLE_BUILDERS, complement, independence_number, min_clique_codegree):
-        builder.cache_clear()
+    for cached in cached_functions():
+        cached.cache_clear()
 
 
 @pytest.fixture

@@ -90,6 +90,27 @@ class TestAnalyze:
         assert [m["oracle"] for m in json.loads(out)["membership"]] == [True, True, True]
         assert len(built) == 1
 
+    @pytest.mark.parametrize("route, flip", [
+        ("is_in_wp_localization", lambda f: lambda g, p, memo=None: not f(g, p, memo)),
+        ("is_alpha_critical_fibers", lambda f: lambda g: (not f(g)[0], f(g)[1])),
+    ], ids=["localization", "fibers"])
+    def test_disagreement_exits_1(self, capsys, monkeypatch, route, flip):
+        # the same report, with the flipped route's agree flag false
+        _, clean, _ = run(capsys, "analyze", "petersen_complement", "--edge-scan")
+        monkeypatch.setattr(f"wellcov.cli.{route}", flip(getattr(wp, route)))
+        code, out, _ = run(capsys, "analyze", "petersen_complement", "--edge-scan")
+        assert code == EXIT_VIOLATIONS
+        report, expected = json.loads(out), json.loads(clean)
+        assert list(report) == list(expected)
+        agree = [m["agree"] for m in report["membership"]] + [report["alpha_critical"]["agree"]]
+        assert agree.count(False) == (3 if route == "is_in_wp_localization" else 1)
+
+    def test_failing_edge_scan_exits_0(self, capsys):
+        # a localization outside the lower class is a fact about g
+        code, out, _ = run(capsys, "analyze", "c7_blowup:q=2", "--p", "2", "--edge-scan")
+        assert json.loads(out)["edge_localization"][0]["all_pass"] is False
+        assert code == EXIT_OK
+
     def test_oracle_skipped_past_guard(self, capsys):
         _, out, _ = run(capsys, "analyze", "c7_blowup:q=2")
         report = json.loads(out)
@@ -343,26 +364,46 @@ class TestClosedPipe:
     not and whichever subcommand writes."""
 
     SRC = Path(wellcov.__file__).resolve().parent.parent
+    FIND_2K3 = ["scan", "--exhaustive", "6", "--mode", "find", "--p", "3", "--r", "2"]
+
+    def child(self, argv, unbuffered, **kwargs):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(self.SRC)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen([sys.executable, "-m", "wellcov.cli", *argv],
+                                stderr=subprocess.PIPE, env=env, **kwargs)
 
     @pytest.mark.parametrize("argv,unbuffered", [
         (["family", "petersen"], False),
         (["family", "petersen"], True),
         # the write fails while the pool's workers are running
-        (["scan", "--exhaustive", "6", "--mode", "find", "--p", "3", "--r", "2"], True),
+        (FIND_2K3, True),
     ], ids=["family-buffered", "family-unbuffered", "scan-pool-unbuffered"])
     def test_quiet_exit(self, argv, unbuffered):
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(self.SRC)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
         read, write = os.pipe()
         # the read end is closed before the command starts, so its
         # first write to stdout fails
         os.close(read)
         try:
-            proc = subprocess.run([sys.executable, "-m", "wellcov.cli", *argv], stdout=write,
-                                  stderr=subprocess.PIPE, env=env, timeout=120)
+            proc = self.child(argv, unbuffered, stdout=write)
+            _, err = proc.communicate(timeout=120)
         finally:
             os.close(write)
-        assert proc.stderr == b""
+        assert err == b""
+        assert proc.returncode == EXIT_BROKEN_PIPE
+
+    def test_buffered_scan_stops_when_its_reader_leaves(self):
+        # as `| head -1` does: read the first hit, then close.  Each
+        # job's output is flushed, so a later hit meets the closed pipe
+        # and the sweep stops before its summary line
+        proc = self.child(self.FIND_2K3, False, stdout=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline().strip()
+            proc.stdout.close()
+            proc.wait(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
         assert proc.returncode == EXIT_BROKEN_PIPE

@@ -10,6 +10,7 @@ import os
 import shlex
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -37,6 +38,7 @@ from wellcov.bitset import VertexSet
 from wellcov.catalog import graph_from_pair_mask, labeled_graphs
 from wellcov.verify import catalog_suite
 from tests._specs import ANALYZE_SPECS, STRUCTURED_SPECS
+from tests.conftest import cached_functions
 
 
 def flip_localization(monkeypatch):
@@ -103,6 +105,15 @@ class TestPerGraphChecks:
         monkeypatch.setattr("wellcov.verify.is_alpha_critical_direct", lambda g: False)
         [rec] = corollary_discrepancies(c5, (1,))
         assert list(rec) == ["check", "graph6", "n", "detail"]
+
+    def test_accepting_oracle_below_the_order_bound_is_filed(self, c5):
+        # p disjoint maximum sets of r vertices need r * p vertices, so an
+        # oracle that accepts c5 (r = 2) at p = 3 breaks the order bound
+        planted = replace(theorem_reports(c5, (3,))[3], oracle=True)
+        [rec] = corollary_discrepancies(c5, (3,), reports={3: planted})
+        assert rec["check"] == "bounds" and rec["p"] == 3
+        assert rec["detail"] == "n=5 below r*p=6"
+        assert corollary_discrepancies(c5, (3,)) == []
 
     def test_one_shot_p_values_reach_every_decider_check(self, c5, monkeypatch):
         flip_localization(monkeypatch)
@@ -406,6 +417,12 @@ SHARED_CACHES = (complement, independence_number, saturation.min_clique_codegree
 
 
 class TestTableCache:
+    def test_every_cache_is_cleared_between_tests(self):
+        # the autouse fixture finds the caches itself, so a new one is
+        # cleared without being listed anywhere
+        assert cached_functions() == {*independence.TABLE_BUILDERS, *SHARED_CACHES}
+        assert len(cached_functions()) == 6
+
     def test_uncached_builders_give_the_same_sweep(self, monkeypatch):
         p_values = (1, 2, 3)
         graphs = [g for n in range(1, 6) for g in labeled_graphs(n)]

@@ -20,6 +20,7 @@ from wellcov import (
     delete_edge,
     induced_subgraph,
     edge_localization_scan,
+    examples_suite,
     generate,
     gorenstein_combinatorial_check,
     independence_number,
@@ -35,7 +36,7 @@ from wellcov import (
     w_index,
     wp_oracle_counterexample,
 )
-from wellcov import wp
+from wellcov import cli, verify, wp
 from wellcov.bitset import members
 from wellcov.catalog import labeled_graphs
 
@@ -305,7 +306,7 @@ def local_index_by_subgraphs(g: Graph, memo: dict) -> int:
         full = (1 << g.n) - 1
         for v in range(g.n):
             keep = full & ~(g.adj[v] | 1 << v)
-            sub = induced_subgraph(g, keep).graph if keep else None
+            sub = induced_subgraph(g, keep) if keep else None
             if sub is None or independence_number(sub) != alpha - 1:
                 result = 0
                 break
@@ -395,37 +396,64 @@ class TestLocalization:
 
 
 class TestEdgeScan:
-    def test_rejects_p1(self, c5):
-        with pytest.raises(ValueError):
-            edge_localization_scan(c5, 1)
-
     def test_doubled_c7(self):
         fam = generate("c7_blowup:q=2")
-        entries = edge_localization_scan(fam.graph, 2)
+        entries = edge_localization_scan(fam.graph)
         assert len(entries) == 35
-        by_edge = {e.edge: e for e in entries}
-        # the seven within-class edges pass, the 28 cross edges fail
-        passing = [e for e in entries if e.in_lower_class]
-        failing = [e for e in entries if e.in_lower_class is False]
-        assert len(passing) == 7 and len(failing) == 28
-        classes = fam.classes
-        for i, cls in enumerate(classes):
-            u, v = members(cls)
-            assert by_edge[(u, v)].in_lower_class
-        assert not any(e.empty for e in entries)
+        by_edge = {e: w for e, _, w in entries}
+        # in W_1, the level p = 2 asks for: the seven within-class edges
+        # pass, the 28 cross edges fail
+        passing = [e for e, _, w in entries if w is not None and w >= 1]
+        assert len(passing) == 7
+        for cls in fam.classes:
+            assert by_edge[members(cls)] is not None
+        assert all(keep for _, keep, _ in entries)
 
     def test_petersen_complement(self, petersen_complement):
-        entries = edge_localization_scan(petersen_complement, 3)
+        entries = edge_localization_scan(petersen_complement)
         assert len(entries) == 30
-        assert all(e.vertex_count == 1 for e in entries)
-        assert all(e.in_lower_class is False for e in entries)
-        lower = edge_localization_scan(petersen_complement, 2)
-        assert all(e.in_lower_class is True for e in lower)
+        # each localization is one vertex, K1, whose W-index is 1: in
+        # W_1 and not in W_2
+        assert all(keep.bit_count() == 1 and w == 1 for _, keep, w in entries)
 
     def test_empty_localization_reported(self, c4):
-        entries = edge_localization_scan(c4, 2)
-        assert all(e.empty and e.vertex_count == 0 for e in entries)
-        assert all(e.in_lower_class is None for e in entries)
+        entries = edge_localization_scan(c4)
+        assert [e for e, _, _ in entries] == list(c4.edges())
+        assert all(keep == 0 and w is None for _, keep, w in entries)
+
+    def test_one_build_per_edge(self, monkeypatch, capsys, petersen_complement):
+        # one scan answers every level, so each edge's localization is
+        # built once per request, not once per level
+        built = []
+        original = induced_subgraph
+
+        def counting(g, keep):
+            built.append(g.adj)
+            return original(g, keep)
+        for mod in (wp, verify):
+            monkeypatch.setattr(mod, "induced_subgraph", counting)
+        assert cli.main(["analyze", "c7_blowup:q=2", "--p", "1,2,3", "--edge-scan"]) == 0
+        capsys.readouterr()
+        assert len(built) == 35
+        built.clear()
+        assert examples_suite().passed
+        assert built.count(petersen_complement.adj) == petersen_complement.edge_count == 30
+
+    def test_matches_naive_localizations_n5(self):
+        # the keep mask against the naive kept vertices, and the W-index
+        # as a threshold against the definition-level W_q test
+        for g in small_catalog(5):
+            entries = edge_localization_scan(g)
+            assert [e for e, _, _ in entries] == list(g.edges())
+            for (u, v), keep, w in entries:
+                sub = _naive.localization(g, (u, v))
+                kept = _naive.outside_closed_neighbourhood(g, (u, v))
+                assert keep == sum(1 << x for x in kept)
+                if sub is None:
+                    assert keep == 0 and w is None
+                    continue
+                for q in (1, 2, 3):
+                    assert (w is not None and w >= q) == _naive.is_in_wp(sub, q), (g.adj, u, v, q)
 
 
 def naive_fiber_level(g: Graph) -> tuple[int, dict | None]:
