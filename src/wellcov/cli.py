@@ -412,8 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to `main`, not at import, and kept for the
+# calls after it: building takes some thirty times as long as a parse
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args)
         # a buffered stdout meets a gone reader here, not at exit

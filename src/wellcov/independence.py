@@ -50,10 +50,12 @@ and with a target it stops at the first independent set that large.
 `independence_number(g)` is the kernel on all of g.  It does not
 enumerate.  It branches on the closed neighbourhood N[v] of a
 least-degree vertex v (Tarjan and Trojanowski, 1977), which every
-maximal independent set meets, and takes v outright when its
-neighbourhood is a clique, since a maximum set then swaps its one
-vertex of N[v] for v.  Unions of cliques and their blow-ups, the sharp
-families of the theorem, then resolve with little or no branching.
+maximal independent set meets, v first and then its neighbours
+ascending, and takes v outright when its neighbourhood is a clique,
+since a maximum set then swaps its one vertex of N[v] for v.  Unions of
+cliques and their blow-ups, the sharp families of the theorem, then
+resolve with little or no branching, and a target search on them, such
+as alpha + 1 on an edge deletion, finds its set on the first descent.
 
 The builders in `TABLE_BUILDERS` cache one entry each, the value of
 the last graph asked.  Their values are immutable and depend only on
@@ -229,8 +231,12 @@ def alpha_within(rows: Sequence[int], allowed: int, target: int | None = None) -
     without branching: a maximum set meets N[v] in exactly one vertex u,
     and swapping u for v keeps it independent and maximum.  Otherwise
     the search branches on taking each u in N[v], since every maximal
-    independent set meets N[v]; a later branch drops the earlier picks,
-    so no set is searched twice.  Depth is at most alpha + 1.
+    independent set meets N[v]: v itself first, whose branch removes the
+    fewest vertices, then its neighbours ascending.  A later branch
+    drops the earlier picks, so no set is searched twice.  Taking v
+    first is what lets a target search, such as the criticality route's
+    alpha + 1 on an edge deletion, find its set on the first descent.
+    Depth is at most alpha + 1.
     """
     best = 0
     # a set filling allowed ends the search whether or not a target is given
@@ -270,10 +276,14 @@ def alpha_within(rows: Sequence[int], allowed: int, target: int | None = None) -
                 allowed &= ~nbrs & ~(1 << v)
                 size += 1
                 continue
-            branch = nbrs | 1 << v
-            while branch:
-                low = branch & -branch
-                branch ^= low
+            # v first: its branch keeps the most vertices, so a target
+            # search usually finds its set on this first descent
+            if grow(allowed & ~nbrs & ~(1 << v), size + 1):
+                return True
+            allowed ^= 1 << v
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
                 if grow(allowed & ~rows[low.bit_length() - 1] & ~low, size + 1):
                     return True
                 allowed ^= low

@@ -137,12 +137,15 @@ def _family_search(
     Found extensions are cached by family prefix: `lives[k]` holds the
     found extensions that dominate `family[:k]` slot by slot.  Filling
     slot k with a set a keeps those of the parent's list whose slot k
-    contains a, so a leaf whose list is nonempty is dominated and
-    extends without a fresh search.  A fresh extension dominates every
-    prefix of the family it was found for, so it joins the list of every
-    depth of the current path.
+    contains a.  At the last slot no list is built: a leaf is dominated,
+    and extends without a fresh search, when some extension of
+    `lives[p - 1]` has a set containing a in that slot, and a loop that
+    stops at the first such one tests it.  A fresh extension dominates
+    every prefix of the family it was found for, so it joins the list of
+    every depth of the current path, the one being read at the last
+    slot included.
     """
-    lives: list[list[tuple[int, ...]]] = [[] for _ in range(p + 1)]
+    lives: list[list[tuple[int, ...]]] = [[] for _ in range(p)]
     family = [0] * p
 
     def extend_family() -> tuple[int, ...] | None:
@@ -162,24 +165,28 @@ def _family_search(
         return tuple(chosen) if place(0, 0) else None
 
     def search(slot: int, start: int, used: int) -> tuple[int, ...] | None:
-        if slot == p:
-            if lives[p]:
-                return None
-            found = extend_family()
-            if found is None:
-                return tuple(family)
-            for live in lives:
-                live.append(found)
-            return None
         live = lives[slot]
+        last = slot == p - 1
         for i in range(start, len(ind)):
             a = ind[i]
-            if a & used == 0:
-                family[slot] = a
+            if a & used:
+                continue
+            family[slot] = a
+            if not last:
                 lives[slot + 1] = [w for w in live if w[slot] & a == a]
                 bad = search(slot + 1, i, used | a)
                 if bad is not None:
                     return bad
+                continue
+            for w in live:
+                if w[slot] & a == a:
+                    break
+            else:
+                found = extend_family()
+                if found is None:
+                    return tuple(family)
+                for prefix in lives:
+                    prefix.append(found)
         return None
 
     return search(0, 0, 0)
@@ -301,14 +308,23 @@ def _local_index(rows: tuple[int, ...], alpha: int, memo: dict) -> int:
     one when it holds an independent set of alpha - 1 vertices; the
     drop test asks the kernel that on g's own rows, and only a
     localization that passes is relabeled into rows of its own.
+
+    Twins, vertices with one closed neighbourhood, leave one keep mask
+    and so one localization, drop test and sub-index; only the first
+    vertex of each keep mask is looked at.  The blow-up C7[K_q] has 7q
+    vertices but 7 keep masks.
     """
     n = len(rows)
     # alpha 1 means every pair is adjacent: the complete base case
     result = n
     if alpha > 1:
         full = (1 << n) - 1
+        seen = set()
         for v in range(n):
             keep = full & ~(rows[v] | 1 << v)
+            if keep in seen:
+                continue
+            seen.add(keep)
             if alpha_within(rows, keep, alpha - 1) != alpha - 1:
                 result = 0
                 break

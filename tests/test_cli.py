@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import wellcov
-from wellcov import wp
+from wellcov import cli, wp
 from wellcov.cli import (
     EXIT_BROKEN_PIPE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS, _progress, main)
 
@@ -407,3 +407,46 @@ class TestClosedPipe:
         assert proc.stderr.read() == b""
         proc.stderr.close()
         assert proc.returncode == EXIT_BROKEN_PIPE
+
+
+class TestSharedParser:
+    """`main` builds its parser on its first call and keeps it for the
+    calls after it.  Each call of an in-process row with different flags
+    prints byte for byte what the same command prints as a fresh
+    process's first call, and a bad argument in the row exits 2 and
+    changes nothing for the call after it."""
+
+    ROW = [
+        ["analyze", "c7_blowup:q=2", "--p", "1,2", "--edge-scan"],
+        ["analyze", "c7_blowup:q=2"],
+        ["scan", "--exhaustive", "4", "--json"],
+        ["scan", "--exhaustive", "4"],
+        ["scan", "--exhaustive", "4", "--mode", "bogus"],
+        ["analyze", "c7_blowup:q=2", "--p", "1,2", "--edge-scan"],
+        ["analyze", "c7_blowup:q=2", "--p"],
+        ["scan", "--exhaustive", "4", "--json"],
+    ]
+
+    def first_call(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(TestClosedPipe.SRC))
+        proc = subprocess.run([sys.executable, "-m", "wellcov.cli", *argv],
+                              stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                              env=env, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_calls_in_a_row_print_what_first_calls_print(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        codes = []
+        for argv in self.ROW:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == self.first_call(argv), argv
+            codes.append(code)
+        assert codes == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert built == [1]

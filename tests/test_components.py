@@ -11,7 +11,9 @@ computed on the whole graph, with no split, and against
 Disjoint unions of two structured family graphs, at most 20 vertices in
 all, check the union lemmas themselves: alpha adds, the W-index is the
 least of the parts', and the union is well-covered, or alpha-critical,
-exactly when both parts are.
+exactly when both parts are.  Blow-ups of the labeled graphs with
+n <= 4, where every vertex has a twin, check the recursion's twin skip
+against the definition.
 """
 
 from itertools import combinations_with_replacement
@@ -154,6 +156,21 @@ class TestCatalog:
         for g in disconnected_catalog(6):
             got = split_local_index(g)
             assert got == local_index_by_subgraphs(g, ref) == naive_local_index(g)
+
+
+class TestTwins:
+    """Blow-ups G[K_q], where every vertex has q - 1 closed twins, so the
+    recursion looks at one vertex per twin class at every node: the
+    decider against the definition, which localizes at every vertex, on
+    the blow-up of every labeled graph with n <= 4 at q = 2 and with
+    n <= 3 at q = 3."""
+
+    @pytest.mark.parametrize("q,max_n", [(2, 4), (3, 3)])
+    def test_blowups_match_the_definition(self, q, max_n):
+        for n in range(1, max_n + 1):
+            for g in labeled_graphs(n):
+                h, _ = _naive.blowup(g, q)
+                assert split_local_index(h) == naive_local_index(h)
 
 
 UNION_PAIRS = [

@@ -229,9 +229,11 @@ class TestAlphaWork:
         assert grow_calls(independence_number, g) <= 200
 
     def test_c7_blowup_deletions_stop_at_alpha_plus_one(self):
-        # a full alpha search per deletion opens 1,861 frames, and
-        # stopping at alpha + 1 1,005
-        assert grow_calls(non_critical_edge, generate("c7_blowup:q=4").graph) <= 1200
+        # a full alpha search per deletion opens 1,861 frames, stopping
+        # at alpha + 1 1,005 when N[v] is branched on in vertex order,
+        # and 321 when v itself comes first, so that each of the 154
+        # deletions finds its alpha + 1 set on about its first descent
+        assert grow_calls(non_critical_edge, generate("c7_blowup:q=4").graph) <= 400
 
 
 class TestMemoWork:
@@ -306,6 +308,24 @@ class TestSplitWork:
         memo: dict = {}
         assert package_frames(lambda: is_in_wp_localization(g, 3, memo)) <= 80
         assert not is_in_wp_localization(g, 4, memo)
+
+
+class TestLocalizationWork:
+    """Frame budgets for the localization recursion on C7[K_q], whose 7q
+    vertices have 7 distinct closed neighbourhoods: every frame the
+    package opens for one decision from cold caches.  Each twin class
+    shares one localization, drop test and sub-index; relabeling one
+    localization per vertex opened 485 frames at q = 4 and 957 at
+    q = 8, skipping twins 140 and 152."""
+
+    @pytest.mark.parametrize("q,budget", [(4, 160), (8, 240)])
+    def test_c7_blowup(self, q, budget):
+        g = generate(f"c7_blowup:q={q}").graph
+        memo: dict = {}
+        assert package_frames(lambda: is_in_wp_localization(g, q, memo)) <= budget
+        # C7[K_q] is in W_q and not in W_(q+1)
+        assert is_in_wp_localization(g, q, memo)
+        assert not is_in_wp_localization(g, q + 1, memo)
 
 
 class TestOrdering:
