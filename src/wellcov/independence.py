@@ -38,10 +38,11 @@ one split.  The localization recursion of `wp` indexes each component
 on its own.  Above `ORACLE_VERTEX_LIMIT` vertices,
 `maximal_clique_size_range` also splits the complement's rows into
 co-components, which are g's components, `profile` grows each
-component's ridges on its own and `saturation.min_clique_codegree`
-searches each co-component.  Each states its lemma.  The Moon-Moser
-graphs rK3 have 3^r facets and r * 3^(r-1) ridges, but r triangles as
-parts.
+component's ridges on its own, `saturation.min_clique_codegree`
+searches each co-component, and `wp.non_critical_edge` searches each
+edge deletion inside the edge's own component.  Each states its lemma.
+The Moon-Moser graphs rK3 have 3^r facets and r * 3^(r-1) ridges, but
+r triangles as parts.
 
 `alpha_within` is the alpha kernel.  It works on bitmask rows and a
 mask of allowed vertices, so the criticality and recursion routes ask
@@ -88,12 +89,13 @@ from .graphs import Graph, complement, component_masks
 # above this many vertices without an explicit opt-in.  Up to it, the
 # oracle reads the whole facet table of every graph it checks, and each
 # whole-graph enumeration is cheap next to its own, so the facet sizes,
-# `profile`'s ridges and `saturation.min_clique_codegree` split a
-# disconnected graph only above it.  Below it the splits cost more than
-# they saved: on the disconnected labeled graphs with n <= 6, `profile`
-# took 47 us instead of 15 and `min_clique_codegree` 15 us instead of 6,
-# and on the sparse disconnected graphs of the n = 8 benchmark stream
-# the facet-size split alone added 13 us to a 34 us `profile`.
+# `profile`'s ridges, `saturation.min_clique_codegree` and the
+# edge-deletion criticality route split a disconnected graph only above
+# it.  Below it the splits cost more than they saved: on the
+# disconnected labeled graphs with n <= 6, `profile` took 47 us instead
+# of 15 and `min_clique_codegree` 15 us instead of 6, and on the sparse
+# disconnected graphs of the n = 8 benchmark stream the facet-size split
+# alone added 13 us to a 34 us `profile`.
 ORACLE_VERTEX_LIMIT = 10
 
 

@@ -11,8 +11,9 @@ STRUCTURED_SPECS = (
     + ["petersen", "petersen_complement"])
 
 # the three graphs `wellcov analyze` is timed on: one bound by the
-# oracle; C7[K_4] on 28 vertices, bound by the criticality route's 154
-# edge deletions, each an alpha + 1 target search; and 8K3, the
+# oracle; C7[K_4] on 28 vertices in 7 twin classes, whose 154 edges the
+# criticality route reads as 14 deletions, one per pair of twin
+# classes, each an alpha + 1 target search; and 8K3, the
 # Moon-Moser extremal case, whose 3^8 facets and 17,496 ridges, and as
 # many 7-cliques of the complement, split into eight triangles
 ANALYZE_SPECS = ("petersen_complement", "c7_blowup:q=4", "disjoint_cliques:r=8,p=3")

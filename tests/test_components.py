@@ -13,7 +13,12 @@ all, check the union lemmas themselves: alpha adds, the W-index is the
 least of the parts', and the union is well-covered, or alpha-critical,
 exactly when both parts are.  Blow-ups of the labeled graphs with
 n <= 4, where every vertex has a twin, check the recursion's twin skip
-against the definition.
+against the definition.  The edge-deletion criticality route, which
+searches each deletion inside its component and deletes one edge per
+pair of closed neighbourhoods, must return the same edge as deleting
+every edge from a built graph: on those unions and blow-ups, and on
+every labeled graph with n <= 5 joined with the Petersen complement,
+which puts it past the cap so that the split runs.
 """
 
 from itertools import combinations_with_replacement
@@ -31,6 +36,7 @@ from wellcov import (
     is_in_wp_localization,
     is_well_covered,
     min_clique_codegree,
+    non_critical_edge,
     profile,
     w_index,
 )
@@ -40,9 +46,9 @@ from wellcov.graphs import component_masks
 from wellcov.independence import maximal_clique_masks, maximal_clique_size_range
 from tests import _naive
 from tests._specs import STRUCTURED_SPECS
-from tests.test_independence import assert_profile_matches_naive
+from tests.test_independence import assert_profile_matches_naive, small_catalog
 from tests.test_saturation import naive_min_codegree
-from tests.test_wp import local_index_by_subgraphs
+from tests.test_wp import local_index_by_subgraphs, non_critical_by_deletion
 
 
 def disconnected_catalog(max_n: int):
@@ -158,12 +164,26 @@ class TestCatalog:
             assert got == local_index_by_subgraphs(g, ref) == naive_local_index(g)
 
 
+class TestJoinedWithPetersenComplement:
+    """Every labeled graph with n <= 5 beside the Petersen complement, in
+    both orders: 11 to 15 vertices, past the cap, so the deletion route
+    searches each component apart."""
+
+    def test_deletion_route(self):
+        pc = generate("petersen_complement").graph
+        for g in small_catalog(5):
+            for u in (disjoint_union(g, pc), disjoint_union(pc, g)):
+                assert len(independence.split_parts(u.adj)) > 1
+                assert non_critical_edge(u) == non_critical_by_deletion(u)
+
+
 class TestTwins:
     """Blow-ups G[K_q], where every vertex has q - 1 closed twins, so the
-    recursion looks at one vertex per twin class at every node: the
-    decider against the definition, which localizes at every vertex, on
-    the blow-up of every labeled graph with n <= 4 at q = 2 and with
-    n <= 3 at q = 3."""
+    recursion looks at one vertex per twin class at every node, and the
+    deletion route deletes one edge per pair of twin classes: the
+    decider against the definition, which localizes at every vertex, and
+    the deletion route against deleting every edge, on the blow-up of
+    every labeled graph with n <= 4 at q = 2 and with n <= 3 at q = 3."""
 
     @pytest.mark.parametrize("q,max_n", [(2, 4), (3, 3)])
     def test_blowups_match_the_definition(self, q, max_n):
@@ -171,6 +191,7 @@ class TestTwins:
             for g in labeled_graphs(n):
                 h, _ = _naive.blowup(g, q)
                 assert split_local_index(h) == naive_local_index(h)
+                assert non_critical_edge(h) == non_critical_by_deletion(h)
 
 
 UNION_PAIRS = [
@@ -196,6 +217,7 @@ class TestUnions:
         assert is_well_covered(u) == (wc_g and wc_h)
         assert w_index(u) == (min(w_g, w_h) if wc_g and wc_h else None)
         assert is_alpha_critical_direct(u) == (crit_g and crit_h)
+        assert non_critical_edge(u) == non_critical_by_deletion(u)
         assert is_alpha_critical_fibers(u)[0] == (crit_g and crit_h)
         assert split_local_index(u) == min(li_g, li_h)
 

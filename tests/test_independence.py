@@ -7,7 +7,8 @@ catalog, with and without a target, and against the maximal-set engine
 on the n <= 6 catalog, the named families with their edge deletions and
 localizations, and seeded random graphs; its search is held to a call
 budget, and so are the memoized ridge, codegree and clique recursions
-on disjoint triangles, whole and split into components.
+on disjoint triangles, whole and split into components, and the
+criticality route's deletions on the blow-ups C7[K_q] and on 20K3.
 """
 
 import os
@@ -31,7 +32,7 @@ from wellcov import (
     non_critical_edge,
     profile,
 )
-from wellcov import independence, saturation
+from wellcov import independence, saturation, wp
 from wellcov.bitset import members
 from wellcov.catalog import labeled_graphs
 from wellcov.independence import (
@@ -207,6 +208,20 @@ def grow_calls(route, g: Graph) -> int:
     return frames_entered(independence, "grow", lambda: route(g))
 
 
+def deletion_searches(g: Graph, monkeypatch) -> int:
+    """Calls of the alpha kernel made by `non_critical_edge(g)` itself,
+    not by the `independence_number` it reads."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return alpha_within(*args)
+    monkeypatch.setattr(wp, "alpha_within", counted)
+    non_critical_edge(g)
+    return calls
+
+
 class TestAlphaWork:
     """Call budgets for the closed-neighbourhood search on the paper's
     sharp families, where a bound by size + remaining vertices alone
@@ -229,11 +244,30 @@ class TestAlphaWork:
         assert grow_calls(independence_number, g) <= 200
 
     def test_c7_blowup_deletions_stop_at_alpha_plus_one(self):
-        # a full alpha search per deletion opens 1,861 frames, stopping
-        # at alpha + 1 1,005 when N[v] is branched on in vertex order,
-        # and 321 when v itself comes first, so that each of the 154
-        # deletions finds its alpha + 1 set on about its first descent
-        assert grow_calls(non_critical_edge, generate("c7_blowup:q=4").graph) <= 400
+        # deleting all 154 edges, and counting alpha's own search, a full
+        # alpha search per deletion opened 1,861 frames, stopping at
+        # alpha + 1 1,005 when N[v] is branched on in vertex order, and
+        # 321 when v itself comes first (308 without alpha's 13), so
+        # that each deletion finds its alpha + 1 set on about its first
+        # descent.  Deleting one edge per pair of closed neighbourhoods
+        # leaves 14 deletions and 28 frames.  The route reads alpha from
+        # the cache, so alpha is computed before counting.
+        g = generate("c7_blowup:q=4").graph
+        independence_number(g)
+        assert grow_calls(non_critical_edge, g) <= 40
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_c7_blowup_one_deletion_per_twin_class_pair(self, q, monkeypatch):
+        # C7[K_q] has 7 twin classes, so its edges fall into 7 pairs
+        # inside a class and 7 between neighbouring classes
+        assert deletion_searches(generate(f"c7_blowup:q={q}").graph, monkeypatch) == 14
+
+    def test_disjoint_triangles_search_their_own_component(self, monkeypatch):
+        # one alpha per triangle, and one deletion per triangle, each
+        # searching 3 vertices: the three edges of a triangle are twins
+        r = 20
+        g = generate(f"disjoint_cliques:r={r},p=3").graph
+        assert deletion_searches(g, monkeypatch) <= 2 * r
 
 
 class TestMemoWork:
