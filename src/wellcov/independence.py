@@ -71,7 +71,10 @@ values carry the same one-entry cache without being tables:
 `saturation.min_clique_codegree`, which three routes ask of the same
 complement.
 `independent_set_masks` is not cached: the oracle reads it once per
-graph, into a superset table that it keeps across p itself.
+graph as the order its family search enumerates in, and keeps it
+across p in a superset table of its own, beside the masks of the
+maximum sets containing each set, filled by walking the subsets of the
+facet table's maximum sets.
 `independent_masks_of_size` is only a size filter over that table, kept
 because the benchmark tracer lists it; no route calls it.
 """

@@ -6,7 +6,7 @@ independent sets.  Three deciders with unrelated mechanisms are kept
 side by side on purpose:
 
   * the oracle enumerates every unordered family of p disjoint
-    independent sets literally and tries to extend each one
+    independent sets literally and tests whether each one extends
     (exponential; guarded behind a vertex cap),
   * the ridge decider checks purity plus a fiber size floor,
   * the localization decider recurses on vertex localizations until the
@@ -44,10 +44,13 @@ The sharing rule, precisely:
     scan: it reads one `w_index` per edge's localization, and W_{p-1}
     membership is a threshold on it.  So only the oracle runs per p.
   * The oracle's own superset table does not depend on p either: one
-    oracle front, `oracle_families`, builds it once per graph for all
+    oracle front, `oracle_families`, builds it once per call for all
     the p values asked and runs only the family search at each p.  The
-    theorem report and `wellcov analyze` ask it once for all their p
-    values.
+    table indexes the maximum sets and holds, as bitmasks over that
+    index, the maximum sets containing each independent set (`S`) and
+    those disjoint from each maximum set (`D`), read off the two
+    enumerations above and nothing else.  The theorem report and
+    `wellcov analyze` ask the front once for all their p values.
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
   * Caches sit only on shared primitives, one entry each: the table
@@ -82,6 +85,8 @@ The sharing rule, precisely:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Mapping
 
 from .bitset import members
@@ -104,32 +109,49 @@ class OracleSizeError(ValueError):
     """The exhaustive oracle was asked for a graph above its cap."""
 
 
-def _superset_table(g: Graph) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], int | None]:
-    """The oracle's p-independent half: every independent set as `ind`,
-    the table `sup` of the maximum sets containing each, and the first
-    set in `ind` order that no maximum set contains, or None.
+def _superset_table(g: Graph) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...], int | None]:
+    """The oracle's p-independent half, with the maximum independent sets
+    indexed as `omega[j]`: every independent set as `ind`; `S[a]`, the
+    mask over j of the maximum sets containing a; `D[j]`, the mask of the
+    maximum sets disjoint from `omega[j]`; and `lone`, the first set in
+    `ind` order that no maximum set contains, or None.
 
-    `sup` is filled in `ind` order and stops at that set, which alone is
-    unextendable at every p, so no family search runs when it exists.
+    A `lone` set exists exactly when g is not well-covered: a maximal set
+    below alpha is one, and every independent set lies in some maximal
+    set.  It is unextendable alone at every p, so no family search runs,
+    and `S` and `D` are left empty.  Otherwise `S` is filled by walking
+    the 2^alpha subsets of each maximum set, so it costs the sum of its
+    entries' sizes, not one test per pair of an independent set and a
+    maximum set.  `D[j]` is every maximum set but those meeting a vertex
+    of `omega[j]`, the one-vertex entries of `S`.
     """
     ind = independent_set_masks(g)
     mis = maximal_independent_set_masks(g)
     alpha = max(m.bit_count() for m in mis)
-    omega = tuple(m for m in mis if m.bit_count() == alpha)
-    sup = {}
-    for a in ind:
-        sup[a] = tuple(m for m in omega if m & a == a)
-        if not sup[a]:
-            return ind, sup, a
-    return ind, sup, None
+    omega = [m for m in mis if m.bit_count() == alpha]
+    if len(omega) < len(mis):
+        for a in ind:
+            for m in omega:
+                if m & a == a:
+                    break
+            else:
+                return ind, {}, (), a
+    S = {0: (1 << len(omega)) - 1}
+    for j, m in enumerate(omega):
+        s = m
+        while s:
+            S[s] = S.get(s, 0) | 1 << j
+            s = s - 1 & m
+    D = tuple(S[0] ^ reduce(or_, [S[1 << v] for v in members(m)]) for m in omega)
+    return ind, S, D, None
 
 
 def _family_search(
-    ind: tuple[int, ...], sup: dict[int, tuple[int, ...]], p: int
+    ind: tuple[int, ...], S: dict[int, int], D: tuple[int, ...], p: int
 ) -> tuple[int, ...] | None:
     """First pairwise disjoint p-tuple of independent sets (as masks)
     with no disjoint extension to maximum independent sets, else None.
-    `ind` and `sup` come from `_superset_table`, with every set in `sup`.
+    `ind`, `S` and `D` come from `_superset_table`, with every set in `S`.
 
     The definition does not depend on the order of the p sets: permuting
     a family permutes its extensions.  So every unordered family is
@@ -139,62 +161,49 @@ def _family_search(
     set (index 0) can fill several slots; a nonempty set cannot repeat,
     since it meets `used`.
 
-    Found extensions are cached by family prefix: `lives[k]` holds the
-    found extensions that dominate `family[:k]` slot by slot.  Filling
-    slot k with a set a keeps those of the parent's list whose slot k
-    contains a.  At the last slot no list is built: a leaf is dominated,
-    and extends without a fresh search, when some extension of
-    `lives[p - 1]` has a set containing a in that slot, and a loop that
-    stops at the first such one tests it.  A fresh extension dominates
-    every prefix of the family it was found for, so it joins the list of
-    every depth of the current path, the one being read at the last
-    slot included.
+    A node for the prefix a_1, ..., a_k carries `reach`, the masks
+    D[j_1] & ... & D[j_k], one for each way to pick pairwise disjoint
+    maximum sets omega[j_i] containing a_i; the root's is every maximum
+    set.  Lemma: the child for a has reach
+    {A & D[j] : A in reach, j in S[a] & A}, and a leaf a extends exactly
+    when S[a] meets the union of its parent's reach.  For omega[j] is
+    disjoint from the picks behind A exactly when j is in A, and then
+    A & D[j] is the mask of the longer pick; a leaf asks for one such j
+    in S[a], so only the union matters, and the last slot reads only
+    that.  The test is exact and the families are visited in the order
+    above, so the family returned is the first unextendable one in it.
     """
-    lives: list[list[tuple[int, ...]]] = [[] for _ in range(p)]
     family = [0] * p
+    last = p - 1
 
-    def extend_family() -> tuple[int, ...] | None:
-        order = sorted(range(p), key=lambda i: len(sup[family[i]]))
-        chosen = [0] * p
-
-        def place(k: int, used: int) -> bool:
-            if k == p:
-                return True
-            slot = order[k]
-            for m in sup[family[slot]]:
-                if m & used == 0:
-                    chosen[slot] = m
-                    if place(k + 1, used | m):
-                        return True
-            return False
-        return tuple(chosen) if place(0, 0) else None
-
-    def search(slot: int, start: int, used: int) -> tuple[int, ...] | None:
-        live = lives[slot]
-        last = slot == p - 1
+    def search(slot: int, start: int, used: int, reach: set[int]) -> tuple[int, ...] | None:
+        if slot == last:
+            union = reduce(or_, reach, 0)
+            for i in range(start, len(ind)):
+                a = ind[i]
+                if not a & used and not S[a] & union:
+                    family[slot] = a
+                    return tuple(family)
+            return None
         for i in range(start, len(ind)):
             a = ind[i]
             if a & used:
                 continue
+            sa = S[a]
+            child = set()
+            for A in reach:
+                bits = sa & A
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    child.add(A & D[low.bit_length() - 1])
             family[slot] = a
-            if not last:
-                lives[slot + 1] = [w for w in live if w[slot] & a == a]
-                bad = search(slot + 1, i, used | a)
-                if bad is not None:
-                    return bad
-                continue
-            for w in live:
-                if w[slot] & a == a:
-                    break
-            else:
-                found = extend_family()
-                if found is None:
-                    return tuple(family)
-                for prefix in lives:
-                    prefix.append(found)
+            bad = search(slot + 1, i, used | a, child)
+            if bad is not None:
+                return bad
         return None
 
-    return search(0, 0, 0)
+    return search(0, 0, 0, {S[0]})
 
 
 def oracle_families(
@@ -225,14 +234,15 @@ def oracle_families(
             continue
         if table is None:
             table = _superset_table(g)
-        ind, sup, lone = table
+        ind, S, D, lone = table
         # a set in no maximum set fails alone, so pad with empty slots
-        out[p] = (lone,) + (0,) * (p - 1) if lone is not None else _family_search(ind, sup, p)
+        out[p] = (lone,) + (0,) * (p - 1) if lone is not None else _family_search(ind, S, D, p)
     return out
 
 
 def is_in_wp_oracle(g: Graph, p: int, *, allow_large: bool = False) -> bool:
-    """Definition-level membership test by exhaustive tuple extension."""
+    """Definition-level membership test: every family of p disjoint
+    independent sets is tested for a disjoint maximum extension."""
     return oracle_families(g, (p,), allow_large)[p] is None
 
 

@@ -8,6 +8,7 @@ usable up to a dozen vertices or so; the grown ones reach the family
 graphs of a few dozen vertices whose independent sets are few.
 """
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from wellcov import Graph
@@ -169,6 +170,85 @@ def first_unextendable(g: Graph, p: int):
         if pairwise_disjoint(family) and not extends(family, maximum):
             return family
     return None
+
+
+def first_unextendable_by_extension(g: Graph, p: int):
+    """The oracle's answer as masks, by the search it ran before it
+    tracked reachable maximum-set masks: at each leaf not dominated by
+    an extension already found, a backtracking search for disjoint
+    maximum supersets.  (0,) * p below p vertices, else the first set in
+    no maximum set padded with empty sets, else the first unextendable
+    family, or None.  The two helpers are that oracle's table and family
+    search as they were, except that the table reads this module's
+    independent and maximum sets and keeps the last graph's, which the
+    search only reads."""
+    if g.n < p:
+        return (0,) * p
+    ind, sup, lone = _superset_table(g)
+    return (lone,) + (0,) * (p - 1) if lone is not None else _family_search(ind, sup, p)
+
+
+@lru_cache(maxsize=1)
+def _superset_table(g: Graph) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]], int | None]:
+    levels = [[sum(1 << v for v in vs) for vs in level] for level in independent_sets_by_size(g)]
+    ind = tuple(sorted(m for level in levels for m in level))
+    omega = tuple(levels[-1])
+    sup = {}
+    for a in ind:
+        sup[a] = tuple(m for m in omega if m & a == a)
+        if not sup[a]:
+            return ind, sup, a
+    return ind, sup, None
+
+
+def _family_search(
+    ind: tuple[int, ...], sup: dict[int, tuple[int, ...]], p: int
+) -> tuple[int, ...] | None:
+    lives: list[list[tuple[int, ...]]] = [[] for _ in range(p)]
+    family = [0] * p
+
+    def extend_family() -> tuple[int, ...] | None:
+        order = sorted(range(p), key=lambda i: len(sup[family[i]]))
+        chosen = [0] * p
+
+        def place(k: int, used: int) -> bool:
+            if k == p:
+                return True
+            slot = order[k]
+            for m in sup[family[slot]]:
+                if m & used == 0:
+                    chosen[slot] = m
+                    if place(k + 1, used | m):
+                        return True
+            return False
+        return tuple(chosen) if place(0, 0) else None
+
+    def search(slot: int, start: int, used: int) -> tuple[int, ...] | None:
+        live = lives[slot]
+        last = slot == p - 1
+        for i in range(start, len(ind)):
+            a = ind[i]
+            if a & used:
+                continue
+            family[slot] = a
+            if not last:
+                lives[slot + 1] = [w for w in live if w[slot] & a == a]
+                bad = search(slot + 1, i, used | a)
+                if bad is not None:
+                    return bad
+                continue
+            for w in live:
+                if w[slot] & a == a:
+                    break
+            else:
+                found = extend_family()
+                if found is None:
+                    return tuple(family)
+                for prefix in lives:
+                    prefix.append(found)
+        return None
+
+    return search(0, 0, 0)
 
 
 def graph6(g: Graph) -> str:

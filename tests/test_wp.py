@@ -3,7 +3,9 @@
 The three deciders are cross-checked on the full n <= 5 catalog here at
 every level up to n + 1, and the oracle against a naive ordered-tuple
 reference at p <= 3; a naive first-family reference pins the exact
-family the oracle returns at every level up to n + 1; the complete n = 6 run belongs to the acceptance suite.  The
+family the oracle returns at every level up to n + 1, and the oracle's
+earlier extension search pins it on the n <= 6 catalog at p <= 4; the
+complete n = 6 run of the deciders belongs to the acceptance suite.  The
 row-level deletion and localization routes are checked against their
 versions on built graphs (`delete_edge`, `induced_subgraph`) on the
 n <= 6 catalog, and held to building no graph at all.
@@ -152,7 +154,7 @@ class TestDeciders:
 def oracle_frames(g: Graph, p: int) -> int:
     """Python frames opened in the oracle's module by one family search,
     on a superset table built beforehand."""
-    ind, sup, lone = wp._superset_table(g)
+    ind, S, D, lone = wp._superset_table(g)
     assert lone is None
     calls = 0
 
@@ -162,7 +164,7 @@ def oracle_frames(g: Graph, p: int) -> int:
             calls += 1
     sys.setprofile(count)
     try:
-        wp._family_search(ind, sup, p)
+        wp._family_search(ind, S, D, p)
     finally:
         sys.setprofile(None)
     return calls
@@ -174,14 +176,40 @@ class TestOracleWork:
     leaf opens 560,708 frames on 2K4 and 257,355 on the Petersen
     complement.  Building a filtered list at each last-slot leaf and
     recursing into it opened 8,493 and 4,977; testing the leaf with a
-    loop that stops at the first dominating extension opens 4,615 and
-    2,175."""
+    loop that stops at the first dominating extension opened 4,615 and
+    2,175.  Carrying the reachable maximum-set masks down the
+    enumeration, so that a leaf is one AND and no extension is searched,
+    opens 1,149 and 294, one frame per node above the leaves."""
 
     def test_two_disjoint_k4(self):
-        assert oracle_frames(generate("disjoint_cliques:r=2,p=4").graph, 4) <= 6_000
+        assert oracle_frames(generate("disjoint_cliques:r=2,p=4").graph, 4) <= 1_500
 
     def test_petersen_complement(self, petersen_complement):
-        assert oracle_frames(petersen_complement, 3) <= 3_000
+        assert oracle_frames(petersen_complement, 3) <= 400
+
+    def test_matches_the_extension_search_n6(self):
+        # the reference searches each leaf's extension by backtracking;
+        # the same family at every level, on every labeled graph
+        for n in range(1, 7):
+            for g in labeled_graphs(n):
+                families = wp.oracle_families(g, range(1, 5), False)
+                assert families == {
+                    p: _naive.first_unextendable_by_extension(g, p) for p in range(1, 5)}
+
+    def test_disjoint_cliques_match_the_extension_search(self):
+        # members at their index p, where every family is visited, and
+        # non-members one level up
+        for r in range(1, 11):
+            for p in range(1, 10 // r + 1):
+                g = generate(f"disjoint_cliques:r={r},p={p}").graph
+                assert wp.oracle_families(g, (p, p + 1), False) == {
+                    q: _naive.first_unextendable_by_extension(g, q) for q in (p, p + 1)}
+
+    def test_petersen_complement_witness_at_4(self, petersen_complement):
+        # _naive.first_unextendable takes seconds on this graph at p = 4,
+        # so the family it gives is pinned
+        witness = wp_oracle_counterexample(petersen_complement, 4)
+        assert tuple(map(members, witness)) == ((), (0, 1), (3, 8), (7, 9))
 
     @pytest.mark.parametrize("spec", ["petersen_complement", "disjoint_cliques:r=2,p=4"])
     @pytest.mark.parametrize("p", [1, 2, 3])
