@@ -37,12 +37,29 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match n")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        # symmetric exactly when every bit below the diagonal has its
+        # mirror above it and the two triangles hold as many bits, so
+        # each unordered pair is looked at once
+        adj = self.adj
+        symmetric = True
+        below = above = 0
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"vertex {v} is adjacent to itself")
-        for v, row in enumerate(self.adj):
+            bits = row & (1 << v) - 1
+            below += bits.bit_count()
+            above += (row >> v).bit_count()
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                if not adj[low.bit_length() - 1] >> v & 1:
+                    symmetric = False
+        if symmetric and below == above:
+            return
+        # name the same pair as a scan of every row in order
+        for v, row in enumerate(adj):
             bits = row
             while bits:
                 low = bits & -bits
@@ -112,18 +129,36 @@ def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
 def induced_rows(rows: Sequence[int], keep: int) -> tuple[int, ...]:
     """Rows of the subgraph induced on the vertex mask keep, with the
     kept vertices relabeled 0, 1, ... in ascending order.
+
+    keep is split once into maximal runs of consecutive vertices.  The
+    relabel keeps the order, so a run starting at old vertex `start`
+    lands as one block at the count of kept vertices below it, and each
+    kept row is the OR over the runs of its shifted, masked slice.  That
+    costs one step per run instead of one per neighbour.  A blow-up
+    G[K_q] numbers each class as a block, so its localizations keep few
+    runs; each vertex and edge localization of C7[K_4] keeps 12 or 16
+    of its 28 vertices in at most two runs.  Scattered masks, as on
+    small random graphs, cost about what a per-neighbour relabel does.
     """
-    kept = [v for v in range(len(rows)) if keep >> v & 1]
-    position = {old: new for new, old in enumerate(kept)}
+    runs = []
+    width = 0
+    bits = keep
+    while bits:
+        start = (bits & -bits).bit_length() - 1
+        x = bits >> start
+        # x ^ x + 1 sets the bits up to x's lowest zero, one past the run
+        mask = (1 << (x ^ x + 1).bit_length() - 1) - 1
+        runs.append((start, mask, width))
+        width += mask.bit_length()
+        bits ^= mask << start
     out = []
-    for old in kept:
-        bits = rows[old] & keep
-        row = 0
-        while bits:
-            low = bits & -bits
-            row |= 1 << position[low.bit_length() - 1]
-            bits ^= low
-        out.append(row)
+    for start, mask, _ in runs:
+        for v in range(start, start + mask.bit_length()):
+            row = rows[v]
+            new = 0
+            for s, m, w in runs:
+                new |= (row >> s & m) << w
+            out.append(new)
     return tuple(out)
 
 

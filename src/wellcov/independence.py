@@ -16,9 +16,12 @@ facet table: the facets of g and the maximal cliques of complement(g)
 are one table, read whole by `maximal_independent_set_masks(g)`, that
 is by the oracle, condition (c) and the impure witness of condition
 (b).  Sizes are read by `maximal_clique_size_range`: the least and
-largest maximal clique size, in one pass over that table, or per part
-when the rows' graph is a large join.  `is_well_covered`, `profile` and
-`saturation.maximal_clique_sizes_uniform` read only those two sizes.
+largest maximal clique size, in one pass over that table at or below
+`ORACLE_VERTEX_LIMIT` vertices.  Above it they are read per
+co-component on one vertex per class of equal rows, so no size reader
+builds the table there: C7[K_q] reads C7's 7 facets, not its 7q^3.
+`is_well_covered`, `profile` and `saturation.maximal_clique_sizes_uniform`
+read only those two sizes.
 
 `profile` grows the ridges on g's own rows and carries the vertices
 outside each set's closed neighbourhood down the recursion, so each
@@ -37,10 +40,11 @@ fibers come from one part at a time.  `graphs.component_masks` is the
 one split.  The localization recursion of `wp` indexes each component
 on its own.  Above `ORACLE_VERTEX_LIMIT` vertices,
 `maximal_clique_size_range` also splits the complement's rows into
-co-components, which are g's components, `profile` grows each
-component's ridges on its own, `saturation.min_clique_codegree`
-searches each co-component, and `wp.non_critical_edge` searches each
-edge deletion inside the edge's own component.  Each states its lemma.
+co-components, which are g's components, and reads each on its class
+representatives, `profile` grows each component's ridges on its own,
+`saturation.min_clique_codegree` searches each co-component, and
+`wp.non_critical_edge` searches each edge deletion inside the edge's
+own component.  Each states its lemma.
 The Moon-Moser graphs rK3 have 3^r facets and r * 3^(r-1) ridges, but
 r triangles as parts.
 
@@ -94,11 +98,13 @@ from .graphs import Graph, complement, component_masks
 # whole-graph enumeration is cheap next to its own, so the facet sizes,
 # `profile`'s ridges, `saturation.min_clique_codegree` and the
 # edge-deletion criticality route split a disconnected graph only above
-# it.  Below it the splits cost more than they saved: on the
-# disconnected labeled graphs with n <= 6, `profile` took 47 us instead
-# of 15 and `min_clique_codegree` 15 us instead of 6, and on the sparse
-# disconnected graphs of the n = 8 benchmark stream the facet-size split
-# alone added 13 us to a 34 us `profile`.
+# it, and only above it are the facet sizes read on class
+# representatives instead of off the table.  Below it the splits cost
+# more than they saved: on the disconnected labeled graphs with n <= 6,
+# `profile` took 47 us instead of 15 and `min_clique_codegree` 15 us
+# instead of 6, and on the sparse disconnected graphs of the n = 8
+# benchmark stream the facet-size split alone added 13 us to a 34 us
+# `profile`.
 ORACLE_VERTEX_LIMIT = 10
 
 
@@ -162,33 +168,53 @@ def maximal_clique_size_range(rows: tuple[int, ...]) -> tuple[int, int]:
     """(least, largest) size of a maximal clique of the graph given by
     bitmask rows.
 
-    Above `ORACLE_VERTEX_LIMIT` vertices a join is read part by part
-    (`_clique_size_range` gives the lemma), so the product table is
-    never built.  Otherwise both sizes come in one pass off the cached
-    `maximal_clique_masks` table, which the oracle and condition (c)
-    read too.  Cached on the rows, one entry: `is_well_covered`,
-    `profile` and `saturation.maximal_clique_sizes_uniform` ask it of
-    one graph's complement back to back."""
-    return _clique_size_range(rows, split_parts(rows, (1 << len(rows)) - 1))
+    At or below `ORACLE_VERTEX_LIMIT` vertices both sizes come in one
+    pass off the cached `maximal_clique_masks` table, which the oracle
+    and condition (c) read too.  Above it the table is never built:
+    `_clique_size_range` reads each co-component's cliques on one vertex
+    per class of equal rows, which is exact by its two lemmas.  C7[K_q]
+    then reads C7's 7 facets instead of its 7q^3, and rK3 reads r
+    triangles instead of 3^r facets.  Cached on the rows, one entry:
+    `is_well_covered`, `profile` and
+    `saturation.maximal_clique_sizes_uniform` ask it of one graph's
+    complement back to back."""
+    if len(rows) <= ORACLE_VERTEX_LIMIT:
+        sizes = set(map(int.bit_count, maximal_clique_masks(rows)))
+        return min(sizes), max(sizes)
+    return _clique_size_range(rows, component_masks(rows, (1 << len(rows)) - 1))
 
 
 def _clique_size_range(rows: tuple[int, ...], parts: tuple[int, ...]) -> tuple[int, int]:
-    """(least, largest) maximal clique size of the graph given by rows.
-    parts is either the one mask of every vertex, read off the cached
-    table, or the masks of the graph's co-components.
+    """(least, largest) maximal clique size of the graph given by rows,
+    whose co-components are the masks in parts.  Each part's cliques are
+    enumerated on its class representatives only: the first vertex of
+    each distinct row.
 
-    The graph is then the join of the parts, and its maximal cliques are
-    the unions of one maximal clique per part: a clique meets each part
-    in a clique, and it is maximal exactly when each of those is maximal
-    in its part, since every vertex of one part sees all of the others.
-    So both sizes add over the parts, and each part's cliques are
-    enumerated on their own."""
-    if len(parts) == 1:
-        sizes = set(map(int.bit_count, maximal_clique_masks(rows)))
-        return min(sizes), max(sizes)
+    Joins.  The graph is the join of the parts, and its maximal cliques
+    are the unions of one maximal clique per part: a clique meets each
+    part in a clique, and it is maximal exactly when each of those is
+    maximal in its part, since every vertex of one part sees all of the
+    others.  So both sizes add over the parts.
+
+    Classes.  Vertices with one open neighbourhood in the rows' graph
+    are twins of g, the complement (N[u] = N[u'] there).  They are
+    non-adjacent, so a clique holds at most one vertex per class, and
+    swapping that vertex for its class's representative keeps a clique
+    of the same size that is still maximal: a vertex extending the swap
+    would extend the original.  A maximal clique of the representatives'
+    subgraph is also maximal in the whole graph: a vertex extending it
+    would have its representative extending it too, and a vertex whose
+    representative is in the clique is not adjacent to it.  So the two
+    graphs have the same maximal clique sizes.  Each class lies inside
+    one co-component, since its vertices are adjacent in g, so every
+    part keeps a representative."""
+    first: dict[int, int] = {}
+    for v, row in enumerate(rows):
+        first.setdefault(row, 1 << v)
+    reps = sum(first.values())
     least = largest = 0
     for part in parts:
-        sizes = set(map(int.bit_count, _maximal_cliques(rows, part)))
+        sizes = set(map(int.bit_count, _maximal_cliques(rows, part & reps)))
         least += min(sizes)
         largest += max(sizes)
     return least, largest

@@ -70,11 +70,13 @@ The sharing rule, precisely:
     `graphs.component_masks`.  The localization decider splits the
     graph asked at every size; above `ORACLE_VERTEX_LIMIT` vertices the
     facet sizes, `profile`'s ridges, `min_clique_codegree` and the
-    edge-deletion criticality route split too.  The deletion route
-    searches only the deleted edge's component, since alpha adds over
-    components, and deletes one edge per pair of closed
-    neighbourhoods, since twins are swapped by an automorphism; its
-    docstring states both lemmas.  The oracle, its superset table,
+    edge-deletion criticality route split too.  Above it the facet
+    sizes are also read on one vertex per class of twins, even on a
+    connected graph, so no size reader builds the facet table there.
+    The deletion route searches only the deleted edge's component,
+    since alpha adds over components, and deletes one edge per pair of
+    closed neighbourhoods, since twins are swapped by an automorphism;
+    its docstring states both lemmas.  The oracle, its superset table,
     condition (c) and the impure witness of condition (b) stay whole.
     So on every disconnected graph the catalog checks compare the
     localization decider's split with the oracle and the ridge
@@ -172,38 +174,50 @@ def _family_search(
     in S[a], so only the union matters, and the last slot reads only
     that.  The test is exact and the families are visited in the order
     above, so the family returned is the first unextendable one in it.
+    The slot before the last therefore ORs its children's masks into one
+    union instead of collecting them.
     """
     family = [0] * p
     last = p - 1
 
+    def leaf(start: int, used: int, union: int) -> tuple[int, ...] | None:
+        for i in range(start, len(ind)):
+            a = ind[i]
+            if not a & used and not S[a] & union:
+                family[last] = a
+                return tuple(family)
+        return None
+
     def search(slot: int, start: int, used: int, reach: set[int]) -> tuple[int, ...] | None:
-        if slot == last:
-            union = reduce(or_, reach, 0)
-            for i in range(start, len(ind)):
-                a = ind[i]
-                if not a & used and not S[a] & union:
-                    family[slot] = a
-                    return tuple(family)
-            return None
         for i in range(start, len(ind)):
             a = ind[i]
             if a & used:
                 continue
             sa = S[a]
-            child = set()
-            for A in reach:
-                bits = sa & A
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    child.add(A & D[low.bit_length() - 1])
             family[slot] = a
-            bad = search(slot + 1, i, used | a, child)
+            if slot + 1 == last:
+                union = 0
+                for A in reach:
+                    bits = sa & A
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        union |= A & D[low.bit_length() - 1]
+                bad = leaf(i, used | a, union)
+            else:
+                child = set()
+                for A in reach:
+                    bits = sa & A
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        child.add(A & D[low.bit_length() - 1])
+                bad = search(slot + 1, i, used | a, child)
             if bad is not None:
                 return bad
         return None
 
-    return search(0, 0, 0, {S[0]})
+    return leaf(0, 0, S[0]) if last == 0 else search(0, 0, 0, {S[0]})
 
 
 def oracle_families(
@@ -433,12 +447,21 @@ def non_critical_edge(g: Graph) -> tuple[int, int] | None:
 
 def is_alpha_critical_fibers(g: Graph) -> tuple[bool, tuple[int, int] | None]:
     """Criticality via the fiber cover: every edge must lie inside some
-    ridge's fiber.  Returns the first uncovered edge as witness."""
+    ridge's fiber.  Returns the first uncovered edge as witness.
+
+    One pass over the distinct fibers builds `covered[x]`, the union of
+    the fibers holding x, so an edge uv lies in a fiber exactly when v
+    is in `covered[u]`, and each edge is one bit test."""
     # many ridges share a fiber: 17,496 ridges of 8K3 have 8 fibers
-    fibers = profile(g).fibers
+    covered = [0] * g.n
+    for f in profile(g).fibers:
+        bits = f
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            covered[low.bit_length() - 1] |= f
     for u, v in g.edges():
-        pair = 1 << u | 1 << v
-        if not any(pair & f == pair for f in fibers):
+        if not covered[u] >> v & 1:
             return (False, (u, v))
     return (True, None)
 
@@ -597,6 +620,16 @@ def edge_localization_scan(g: Graph) -> tuple[tuple[tuple[int, int], int, int | 
 
     The localization lies in W_{p-1} when its W-index is at least p - 1,
     the ridge decider's own threshold, so one scan answers every p.
+
+    Asking every edge localization to lie in W_{p-1} is this repo's
+    reading of the local sufficient condition of Hoang, Levit and
+    Mandrescu (HLM), which the paper shows is not necessary outside
+    the locally triangle-free setting.  Whether the reading matches
+    theirs is open.  Read "locally triangle-free" as K4-free, and the
+    K4-free members of W_p should pass the scan, yet the Paley graph
+    P17 = C_17(1, 2, 4, 8), K4-free, alpha-critical and in W_3, fails
+    it at every edge: each of its 68 edge localizations keeps 4
+    vertices of W-index 1.
     """
     out = []
     for e in g.edges():

@@ -87,6 +87,14 @@ def localization(g: Graph, vs) -> Graph | None:
         (i, j) for i, j in combinations(range(len(keep)), 2) if g.has_edge(keep[i], keep[j])])
 
 
+def relabeled_rows(g: Graph, keep: int) -> tuple[int, ...]:
+    """The adjacency rows of the subgraph induced on the vertex mask
+    keep, by the definition: kept[i] is the i-th kept vertex in
+    ascending order, and new i ~ new j exactly when kept[i] ~ kept[j]."""
+    kept = [v for v in range(g.n) if keep >> v & 1]
+    return tuple(sum(1 << j for j, w in enumerate(kept) if g.has_edge(v, w)) for v in kept)
+
+
 def is_clique(g: Graph, vs) -> bool:
     return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
 

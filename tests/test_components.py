@@ -18,7 +18,10 @@ searches each deletion inside its component and deletes one edge per
 pair of closed neighbourhoods, must return the same edge as deleting
 every edge from a built graph: on those unions and blow-ups, and on
 every labeled graph with n <= 5 joined with the Petersen complement,
-which puts it past the cap so that the split runs.
+which puts it past the cap so that the split runs.  Above the cap the
+facet sizes are read on one vertex per class of equal rows; they must
+equal the sizes over every maximal clique on those joins, on the
+blow-ups G[K_3] of the labeled graphs with n <= 5 and on C7[K_q].
 """
 
 from itertools import combinations_with_replacement
@@ -175,6 +178,40 @@ class TestJoinedWithPetersenComplement:
             for u in (disjoint_union(g, pc), disjoint_union(pc, g)):
                 assert len(independence.split_parts(u.adj)) > 1
                 assert non_critical_edge(u) == non_critical_by_deletion(u)
+
+
+def every_clique_size_range(rows: tuple[int, ...]) -> tuple[int, int]:
+    """Least and largest maximal clique size over every maximal clique of
+    the rows' graph, found on all of its vertices at once."""
+    sizes = {m.bit_count() for m in independence._maximal_cliques(rows, (1 << len(rows)) - 1)}
+    return min(sizes), max(sizes)
+
+
+class TestSizeRangeOnRepresentatives:
+    """Above the cap, `maximal_clique_size_range` enumerates each
+    co-component on one vertex per class of equal rows.  Its sizes must
+    equal those over every maximal clique on the blow-up G[K_3] of every
+    labeled graph with n <= 5, where every class holds at least three
+    vertices, on the joins with the Petersen complement, whose classes
+    are mostly single vertices, and on C7[K_q], whose 7q^3 facets the
+    representatives read as C7's 7."""
+
+    def test_blowups_n5(self):
+        for g in small_catalog(5):
+            rows = complement(_naive.blowup(g, 3)[0]).adj
+            assert maximal_clique_size_range(rows) == every_clique_size_range(rows)
+
+    def test_joined_with_petersen_complement(self):
+        pc = generate("petersen_complement").graph
+        for g in small_catalog(5):
+            for u in (disjoint_union(g, pc), disjoint_union(pc, g)):
+                rows = complement(u).adj
+                assert maximal_clique_size_range(rows) == every_clique_size_range(rows)
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_c7_blowups(self, q):
+        rows = complement(generate(f"c7_blowup:q={q}").graph).adj
+        assert maximal_clique_size_range(rows) == every_clique_size_range(rows) == (3, 3)
 
 
 class TestTwins:

@@ -5,6 +5,7 @@ where a second route exists (masks vs tuples), against each other.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -19,7 +20,8 @@ from wellcov import (
 )
 from wellcov.bitset import VertexSet, members
 from wellcov.catalog import labeled_graphs
-from wellcov.graphs import component_masks
+from wellcov.graphs import component_masks, induced_rows
+from tests import _naive
 
 
 class TestVertexSet:
@@ -84,6 +86,26 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
 
+    def test_asymmetry_names_the_first_pair_of_a_row_scan(self):
+        # every irreflexive bit matrix on up to four vertices: accepted
+        # exactly when symmetric, and otherwise the error names the
+        # first (v, u), v ascending and then u, with u ~ v but not v ~ u
+        for n in range(1, 5):
+            cells = [(v, u) for v in range(n) for u in range(n) if u != v]
+            for bits in range(1 << len(cells)):
+                rows = [0] * n
+                for k, (v, u) in enumerate(cells):
+                    if bits >> k & 1:
+                        rows[v] |= 1 << u
+                first = next(((v, u) for v, u in cells
+                              if rows[v] >> u & 1 and not rows[u] >> v & 1), None)
+                if first is None:
+                    assert Graph(n, tuple(rows)).adj == tuple(rows)
+                    continue
+                v, u = first
+                with pytest.raises(ValueError, match=rf"not symmetric at \({v}, {u}\)$"):
+                    Graph(n, tuple(rows))
+
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
             Graph(1, (0b1,))
@@ -147,6 +169,39 @@ class TestInducedAndLocalization:
 
     def test_edge_localization_empty(self, c4):
         assert edge_localization(c4, (0, 1)) == 0
+
+
+class TestRunRelabel:
+    """`induced_rows` relabels by runs of consecutive kept vertices; it
+    must equal the relabel written from the definition on every keep
+    mask of the small catalog, on the blow-ups' localizations, whose
+    masks are few long runs, and on scattered random masks."""
+
+    def test_every_mask_n5(self):
+        for n in range(1, 6):
+            for g in labeled_graphs(n):
+                for keep in range(1 << n):
+                    assert induced_rows(g.adj, keep) == _naive.relabeled_rows(g, keep)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_c7_blowup_localizations(self, q):
+        g = lexicographic_product(Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)]),
+                                  q).graph
+        full = (1 << g.n) - 1
+        keeps = {full & ~(row | 1 << v) for v, row in enumerate(g.adj)}
+        keeps |= {edge_localization(g, e) for e in g.edges()}
+        for keep in keeps:
+            assert induced_rows(g.adj, keep) == _naive.relabeled_rows(g, keep)
+
+    def test_random_masks_up_to_30_vertices(self):
+        rng = random.Random(28)
+        for n in range(1, 31):
+            density = rng.random()
+            g = Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                     if rng.random() < density])
+            for _ in range(20):
+                keep = rng.getrandbits(n)
+                assert induced_rows(g.adj, keep) == _naive.relabeled_rows(g, keep)
 
 
 class TestProducts:

@@ -371,15 +371,30 @@ class TestOrdering:
 class TestFacetTable:
     def test_complement_cliques_share_the_facet_table(self):
         # the facets of g and the maximal cliques of its complement are
-        # one table, built once; on a connected graph the size readers
-        # read it
-        g = generate("c7_blowup:q=2").graph
-        maximal_independent_set_masks(g)
-        before = maximal_clique_masks.cache_info()
-        maximal_clique_sizes_uniform(complement(g))
-        after = maximal_clique_masks.cache_info()
-        assert after.hits - before.hits == 1
-        assert after.misses == before.misses
+        # one table, built once; at or below the oracle's cap the size
+        # readers read it
+        for spec in ("c7_blowup:q=1", "petersen_complement"):
+            g = generate(spec).graph
+            assert g.n <= independence.ORACLE_VERTEX_LIMIT
+            maximal_independent_set_masks(g)
+            before = maximal_clique_masks.cache_info()
+            maximal_clique_sizes_uniform(complement(g))
+            after = maximal_clique_masks.cache_info()
+            assert after.hits - before.hits == 1
+            assert after.misses == before.misses
+        # above it no size reader builds the table, not even on a
+        # connected graph: C7[K_q] reads C7's 7 class representatives,
+        # not its 7q^3 facets
+        for q in (2, 4):
+            g = generate(f"c7_blowup:q={q}").graph
+            assert g.n > independence.ORACLE_VERTEX_LIMIT
+            before = maximal_clique_masks.cache_info()
+            assert is_well_covered(g)
+            assert profile(g).alpha == 3 and profile(g).is_pure
+            assert maximal_clique_sizes_uniform(complement(g)) == (True, 3)
+            after = maximal_clique_masks.cache_info()
+            assert after.misses == before.misses
+            assert after.hits == before.hits
 
     def test_disjoint_union_builds_no_facet_table(self):
         # the complement of 6K3 is a join, so the three size readers

@@ -31,6 +31,7 @@ from wellcov import (
     is_in_wp_localization,
     is_in_wp_oracle,
     is_in_wp_ridge,
+    is_kt_free,
     main_theorem_report,
     non_critical_edge,
     profile,
@@ -41,6 +42,7 @@ from wellcov import (
 from wellcov import cli, verify, wp
 from wellcov.bitset import members
 from wellcov.catalog import labeled_graphs
+from wellcov.graphs import induced_rows
 
 from tests import _naive
 from tests._specs import ANALYZE_SPECS, STRUCTURED_SPECS
@@ -479,6 +481,25 @@ class TestEdgeScan:
         built.clear()
         assert examples_suite().passed
         assert built.count(petersen_complement.adj) == petersen_complement.edge_count == 30
+
+    def test_paley_17(self):
+        # this repo's reading of the HLM local condition asks every edge
+        # localization to lie in W_(p-1).  The Paley graph P17 =
+        # C_17(1, 2, 4, 8) is K4-free, alpha-critical and in W_3, yet
+        # every one of its 68 edges localizes to 4 vertices of W-index 1
+        g = Graph.from_edges(17, [(i, (i + d) % 17) for i in range(17) for d in (1, 2, 4, 8)])
+        assert g.edge_count == 68
+        assert independence_number(g) == 3
+        assert w_index(g) == 3
+        assert is_kt_free(g, 4)
+        assert is_alpha_critical_direct(g)
+        assert is_alpha_critical_fibers(g) == (True, None)
+        entries = edge_localization_scan(g)
+        assert [e for e, _, _ in entries] == list(g.edges())
+        assert all(keep.bit_count() == 4 and w == 1 for _, keep, w in entries)
+        # the kept vertices are scattered, so the relabel runs are short
+        for _, keep, _ in entries:
+            assert induced_rows(g.adj, keep) == _naive.relabeled_rows(g, keep)
 
     def test_matches_naive_localizations_n5(self):
         # the keep mask against the naive kept vertices, and the W-index
