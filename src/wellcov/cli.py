@@ -217,8 +217,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = _analysis_report(
         g, source, p_values,
         allow_large=args.allow_large, edge_scan=args.edge_scan)
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    sys.stdout.write(json.dumps(report, indent=2) + "\n")
     # a failing edge scan is a fact about g; only disagreeing routes fail
     agree = report["alpha_critical"]["agree"] and all(m["agree"] for m in report["membership"])
     return EXIT_OK if agree else EXIT_VIOLATIONS

@@ -40,20 +40,36 @@ fibers come from one part at a time.  `graphs.component_masks` is the
 one split.  The localization recursion of `wp` indexes each component
 on its own.  Above `ORACLE_VERTEX_LIMIT` vertices,
 `maximal_clique_size_range` also splits the complement's rows into
-co-components, which are g's components, and reads each on its class
-representatives, `profile` grows each component's ridges on its own,
-`saturation.min_clique_codegree` searches each co-component, and
-`wp.non_critical_edge` searches each edge deletion inside the edge's
-own component.  Each states its lemma.
+co-components, which are g's components, `profile` grows each
+component's ridges on its own, `saturation.min_clique_codegree`
+searches each co-component, and `wp.non_critical_edge` searches each
+edge deletion inside the edge's own component.  Each states its lemma.
 The Moon-Moser graphs rK3 have 3^r facets and r * 3^(r-1) ridges, but
 r triangles as parts.
+
+Twins split too.  A twin class is a set of vertices with one closed
+neighbourhood in g, which is one open neighbourhood in the complement,
+and `representatives` gives R_k, the k lowest vertices of each class.
+Above `ORACLE_VERTEX_LIMIT` vertices every route that would search all
+of g, or all of its complement, searches R_k instead, with no second
+code path: the facet sizes and `independence_number` on R_1, the
+ridges of `profile` picked from R_1 with whole fibers, the deletion
+route's edges and searches on R_2 and the localization drop test on
+R_1 (in `wp`), `saturation.is_kt_saturated` on R_1 with its missing
+pairs in R_2, and `saturation.min_clique_codegree`'s cliques on R_1
+with whole common neighbourhoods.  At or below the cap every vertex is
+its own class, so the catalog and stream graphs take the whole-graph
+path.  C7[K_q] has 7 classes, so these routes search 7 or 14 of its 7q
+vertices.  Each route states its lemma: twins of g are adjacent and
+swapped by an automorphism, so an independent set meets a class at
+most once and may trade its vertex for the class's lowest.
 
 `alpha_within` is the alpha kernel.  It works on bitmask rows and a
 mask of allowed vertices, so the criticality and recursion routes ask
 it about an edge deletion or a localization without building a graph,
 and with a target it stops at the first independent set that large.
-`independence_number(g)` is the kernel on all of g.  It does not
-enumerate.  It branches on the closed neighbourhood N[v] of a
+`independence_number(g)` is the kernel on g's representatives R_1.  It
+does not enumerate.  It branches on the closed neighbourhood N[v] of a
 least-degree vertex v (Tarjan and Trojanowski, 1977), which every
 maximal independent set meets, v first and then its neighbours
 ascending, and takes v outright when its neighbourhood is a clique,
@@ -98,8 +114,9 @@ from .graphs import Graph, complement, component_masks
 # whole-graph enumeration is cheap next to its own, so the facet sizes,
 # `profile`'s ridges, `saturation.min_clique_codegree` and the
 # edge-deletion criticality route split a disconnected graph only above
-# it, and only above it are the facet sizes read on class
-# representatives instead of off the table.  Below it the splits cost
+# it, and only above it do the routes read class representatives
+# (`representatives`), the facet sizes instead of the table included.
+# Below it the splits cost
 # more than they saved: on the disconnected labeled graphs with n <= 6,
 # `profile` took 47 us instead of 15 and `min_clique_codegree` 15 us
 # instead of 6, and on the sparse disconnected graphs of the n = 8
@@ -115,6 +132,31 @@ def split_parts(rows: Sequence[int], flip: int = 0) -> tuple[int, ...]:
     if len(rows) > ORACLE_VERTEX_LIMIT:
         return component_masks(rows, flip)
     return ((1 << len(rows)) - 1,)
+
+
+def representatives(rows: Sequence[int], k: int = 1, closed: bool = True) -> int:
+    """R_k: the k lowest vertices of each twin class of the rows, as a
+    mask.  A twin class is a set of vertices with one row: the closed
+    row N[v] on g's side (closed), the open row on a complement's rows,
+    so both sides of complementation get g's classes.  At or below
+    `ORACLE_VERTEX_LIMIT` vertices every vertex is its own class and R_k
+    is every vertex, so a route searching R_k does the work of a
+    whole-graph search there.  Above it C7[K_q] has 7 classes, so its
+    R_1 holds 7 of its 7q vertices.  Each route that reads R_k states
+    the lemma that makes it exact."""
+    n = len(rows)
+    if n <= ORACLE_VERTEX_LIMIT:
+        return (1 << n) - 1
+    taken: dict[int, int] = {}
+    out = 0
+    for v, row in enumerate(rows):
+        if closed:
+            row |= 1 << v
+        count = taken.get(row, 0)
+        if count < k:
+            taken[row] = count + 1
+            out |= 1 << v
+    return out
 
 
 def _maximal_cliques(rows: Sequence[int], within: int) -> list[int]:
@@ -187,8 +229,8 @@ def maximal_clique_size_range(rows: tuple[int, ...]) -> tuple[int, int]:
 def _clique_size_range(rows: tuple[int, ...], parts: tuple[int, ...]) -> tuple[int, int]:
     """(least, largest) maximal clique size of the graph given by rows,
     whose co-components are the masks in parts.  Each part's cliques are
-    enumerated on its class representatives only: the first vertex of
-    each distinct row.
+    enumerated on its class representatives only, the R_1 of
+    `representatives` on the rows' open rows.
 
     Joins.  The graph is the join of the parts, and its maximal cliques
     are the unions of one maximal clique per part: a clique meets each
@@ -208,10 +250,7 @@ def _clique_size_range(rows: tuple[int, ...], parts: tuple[int, ...]) -> tuple[i
     graphs have the same maximal clique sizes.  Each class lies inside
     one co-component, since its vertices are adjacent in g, so every
     part keeps a representative."""
-    first: dict[int, int] = {}
-    for v, row in enumerate(rows):
-        first.setdefault(row, 1 << v)
-    reps = sum(first.values())
+    reps = representatives(rows, closed=False)
     least = largest = 0
     for part in parts:
         sizes = set(map(int.bit_count, _maximal_cliques(rows, part & reps)))
@@ -325,8 +364,15 @@ def alpha_within(rows: Sequence[int], allowed: int, target: int | None = None) -
 
 @lru_cache(maxsize=1)
 def independence_number(g: Graph) -> int:
-    """Size of a maximum independent set (`alpha_within` on every vertex)."""
-    return alpha_within(g.adj, (1 << g.n) - 1)
+    """Size of a maximum independent set: `alpha_within` on the
+    representatives R_1 of g's twin classes, every vertex at or below
+    `ORACLE_VERTEX_LIMIT`.
+
+    Twins, vertices with one closed neighbourhood, are adjacent, so an
+    independent set meets a class at most once, and swapping that vertex
+    for its class's lowest keeps the set independent, since the two have
+    one neighbourhood.  So some maximum independent set lies in R_1."""
+    return alpha_within(g.adj, representatives(g.adj))
 
 
 def is_well_covered(g: Graph) -> bool:
@@ -361,8 +407,12 @@ def _grow_ridges(
     """(least fiber size, suffix of the first ridge with that fiber) over
     the independent sets that add need vertices of below to a set,
     highest vertex first; (len(rows) + 1, 0) when there are none.  free:
-    the vertices outside that set's closed neighbourhood; below: those
-    of free under its lowest vertex.  Each leaf's fiber goes into fibers.
+    the vertices outside that set's closed neighbourhood; below: the
+    candidates of free under its lowest vertex, which a caller may
+    narrow to a mask of representatives: a child's candidates are its
+    parent's less the pick's closed neighbourhood, so they stay inside
+    that mask, while free, and so each fiber, stays whole.  Each leaf's
+    fiber goes into fibers.
 
     The subtree depends only on (free, below, need): which vertices can
     still be picked, and each leaf's fiber, free less the closed
@@ -394,14 +444,16 @@ def _grow_ridges(
     found = memo.get(key)
     if found is not None:
         return found
+    cand = below
     # the need - 1 lowest of below can only be picked further down
     for _ in range(need - 1):
         below &= below - 1
     while below:
         low = below & -below
         below ^= low
-        rest = free & ~rows[low.bit_length() - 1] & ~low
-        size, suffix = _grow_ridges(rows, rest, rest & (low - 1), need - 1, fibers, memo)
+        row = rows[low.bit_length() - 1]
+        size, suffix = _grow_ridges(
+            rows, free & ~row & ~low, cand & ~row & (low - 1), need - 1, fibers, memo)
         if size < least:
             least, thin = size, suffix | low
     memo[key] = found = (least, thin)
@@ -409,18 +461,18 @@ def _grow_ridges(
 
 
 def _ridges_within(
-    rows: tuple[int, ...], part: int, alpha: int, fibers: set[int],
+    rows: tuple[int, ...], part: int, reps: int, alpha: int, fibers: set[int],
     memo: dict[tuple[int, int, int], tuple[int, int]],
 ) -> tuple[int, int]:
     """(least fiber size, first ridge with that fiber) over the ridges of
     the graph the rows induce on the vertex mask part, whose
-    independence number is alpha.  Each fiber goes into fibers.  With
-    alpha 1 the one ridge is empty and every vertex of part completes
-    it."""
+    independence number is alpha, picking ridge vertices from reps only.
+    Each fiber goes into fibers.  With alpha 1 the one ridge is empty
+    and every vertex of part completes it."""
     if alpha == 1:
         fibers.add(part)
         return part.bit_count(), 0
-    return _grow_ridges(rows, part, part, alpha - 1, fibers, memo)
+    return _grow_ridges(rows, part, part & reps, alpha - 1, fibers, memo)
 
 
 def _first_maximum_set(rows: tuple[int, ...], part: int, alpha: int) -> int:
@@ -458,14 +510,27 @@ def _ridge_summary(
     order is numeric mask order, and on disjoint vertex masks the least
     union is the union of the least members, so the first thin ridge is
     the least of one thinnest part's first thin ridge plus the first
-    maximum set of every other part."""
+    maximum set of every other part.
+
+    Ridges, alphas and first maximum sets are all searched on the
+    representatives R_1 of g's twin classes.  Twins are adjacent, so an
+    independent set meets a class at most once, and swapping a vertex
+    for its class's lowest keeps the set independent and its closed
+    neighbourhood, and so a ridge's fiber, unchanged.  So every fiber,
+    and the least fiber size, is met by a ridge inside R_1.  The swaps
+    only lower a set's bits, so the image of the first thin ridge in
+    colex order is a thin ridge no later than it, that is the ridge
+    itself, which therefore lies in R_1; the same holds for each part's
+    first maximum set."""
     memo: dict[tuple[int, int, int], tuple[int, int]] = {}
+    reps = representatives(rows)
     if len(parts) == 1:
-        return _ridges_within(rows, parts[0], alpha, fibers, memo)
-    alphas = [alpha_within(rows, part) for part in parts]
-    summaries = [_ridges_within(rows, part, a, fibers, memo) for part, a in zip(parts, alphas)]
+        return _ridges_within(rows, parts[0], reps, alpha, fibers, memo)
+    alphas = [alpha_within(rows, part & reps) for part in parts]
+    summaries = [_ridges_within(rows, part, reps, a, fibers, memo)
+                 for part, a in zip(parts, alphas)]
     least = min(size for size, _ in summaries)
-    firsts = [_first_maximum_set(rows, part, a) for part, a in zip(parts, alphas)]
+    firsts = [_first_maximum_set(rows, part & reps, a) for part, a in zip(parts, alphas)]
     every_first = sum(firsts)
     thin = min(ridge | every_first ^ first
                for (size, ridge), first in zip(summaries, firsts) if size == least)
@@ -489,7 +554,10 @@ def profile(g: Graph) -> IndependenceProfile:
     Above `ORACLE_VERTEX_LIMIT` vertices a disconnected graph has its
     ridges grown per component (`_ridge_summary` gives the lemma): the
     Moon-Moser graphs rK3, with r * 3^(r-1) ridges, split into r
-    triangles of one empty ridge each.
+    triangles of one empty ridge each.  Above it, too, the ridges pick
+    their vertices from the lowest vertex of each twin class, while the
+    free masks, and so the fibers, stay whole (`_ridge_summary` gives
+    the lemma): C7[K_q] grows its ridges on 7 vertices.
     """
     rows = g.adj
     least_facet, alpha = maximal_clique_size_range(complement(g).adj)

@@ -3,7 +3,13 @@
 Saturation, uniform maximal clique sizes, and clique codegrees are the
 complement-side mirror of independence structure: independent sets of a
 graph are cliques of its complement, so one enumeration engine serves
-both sides.  The alpha2 and alpha3 checks return a per-graph level
+both sides.  Above `independence.ORACLE_VERTEX_LIMIT` vertices the
+K_t-saturation test and the minimum codegree search the complement's
+twin classes, vertices with one open row, on their lowest vertices
+(`independence.representatives`): a clique meets a class at most once
+and may trade its vertex for the class's lowest, while each codegree
+still counts the whole common neighbourhood.  Each function states its
+lemma.  The alpha2 and alpha3 checks return a per-graph level
 that p is compared against.  The bound report collects the exact edge,
 degree, order, and dense rigidity consequences for complements of the
 graphs the deciders accept, all in exact integer arithmetic.
@@ -17,7 +23,7 @@ from typing import Sequence
 
 from .bitset import members
 from .graphs import Graph, component_masks
-from .independence import alpha_within, maximal_clique_size_range, split_parts
+from .independence import alpha_within, maximal_clique_size_range, representatives, split_parts
 
 HYPOTHESIS_UNMET = "hypothesis_unmet"
 HOLDS = "holds"
@@ -65,23 +71,45 @@ def is_kt_saturated(h: Graph, t: int) -> bool:
     The K_t search and every missing edge's K_(t-2) search share one
     memo for this call, keyed on (within, t), so a common neighbourhood
     met again, or a vertex set the K_t search already settled, costs one
-    lookup."""
+    lookup.
+
+    Both searches read the representatives R_k of h's twin classes,
+    vertices with one open row (`representatives`), which is every
+    vertex at or below `ORACLE_VERTEX_LIMIT`.  Twins of h are
+    non-adjacent and any permutation of a class is an automorphism.
+      * A clique meets a class at most once, and swapping its vertex for
+        the class's lowest keeps a clique, so h has a K_t exactly when
+        R_1 holds one.
+      * An automorphism moves a missing pair uv of two classes onto their
+        lowest vertices, and a pair inside one class onto its two
+        lowest, without changing whether adding it creates a K_t: only
+        the missing pairs inside R_2 are tested.
+      * A common neighbourhood is a union of whole classes, since twins
+        have one neighbourhood, so it holds a K_(t-2) exactly when its
+        part of R_1 does.
+    The complement of 8K3 then searches 8 representatives for a K_9
+    instead of 24 vertices."""
     if t < 2:
         raise ValueError("saturation needs a clique size of at least 2")
     rows = h.adj
-    full = (1 << h.n) - 1
+    reps = representatives(rows, closed=False)
+    pairs = representatives(rows, 2, closed=False)
     memo: dict[tuple[int, int], bool] = {}
-    if _contains_clique(rows, full, t, memo):
+    if _contains_clique(rows, reps, t, memo):
         return False
-    for u in range(h.n):
-        # missing partners above u, so each non-edge is tried once
-        missing = full & ~rows[u] & ~((1 << u + 1) - 1)
+    while pairs:
+        low = pairs & -pairs
+        pairs ^= low
+        u = low.bit_length() - 1
+        # pairs now holds only partners above u, so each non-edge is
+        # tried once
+        missing = pairs & ~rows[u]
         while missing:
             low = missing & -missing
             missing ^= low
             v = low.bit_length() - 1
             # u,v plus a (t-2)-clique in their common neighborhood is a K_t
-            if not _contains_clique(rows, rows[u] & rows[v], t - 2, memo):
+            if not _contains_clique(rows, rows[u] & rows[v] & reps, t - 2, memo):
                 return False
     return True
 
@@ -124,7 +152,13 @@ def min_clique_codegree(h: Graph, r: int) -> int:
     Above `ORACLE_VERTEX_LIMIT` vertices a join has its cliques grown
     per part (`_least_codegree` gives the lemma): the complements of the
     Moon-Moser graphs rK3 split into r parts of clique number 1, where
-    the search grows nothing."""
+    the search grows nothing.  The cliques, and the parts' clique
+    numbers, are grown on the representatives R_1 of h's twin classes
+    (`representatives`, every vertex at or below the cap), while each
+    codegree counts the whole common neighbourhood: twins of h have one
+    open row and are non-adjacent, so a clique meets a class at most
+    once, and swapping each of its vertices for its class's lowest is
+    an automorphism's image of it, with the same codegree."""
     if r < 1:
         raise ValueError("r must be at least 1")
     best = _least_codegree(h.adj, split_parts(h.adj, (1 << h.n) - 1), r)
@@ -148,26 +182,29 @@ def _least_codegree(rows: tuple[int, ...], parts: tuple[int, ...], r: int) -> in
     least over the parts of each part's minimum at its own clique
     number.  At any other r the search runs whole."""
     full = (1 << len(rows)) - 1
+    reps = representatives(rows, closed=False)
     if len(parts) > 1:
         # the parts' clique numbers, as alpha on the complement's rows
         flipped = [row ^ full ^ 1 << v for v, row in enumerate(rows)]
-        omegas = [alpha_within(flipped, part) for part in parts]
+        omegas = [alpha_within(flipped, part & reps) for part in parts]
         if sum(omegas) == r:
             memo: dict[tuple[int, int, int], int] = {}
-            return min(_part_min_codegree(rows, part, omega, memo)
+            return min(_part_min_codegree(rows, part, reps, omega, memo)
                        for part, omega in zip(parts, omegas))
-    return _part_min_codegree(rows, full, r, {})
+    return _part_min_codegree(rows, full, reps, r, {})
 
 
 def _part_min_codegree(
-    rows: tuple[int, ...], part: int, r: int, memo: dict[tuple[int, int, int], int],
+    rows: tuple[int, ...], part: int, reps: int, r: int,
+    memo: dict[tuple[int, int, int], int],
 ) -> int:
     """The least codegree, within the vertex mask part, of the
-    (r-1)-cliques inside part; len(rows) + 1 when there are none.  The
-    empty clique, for r = 1, has every vertex of part as a neighbour."""
+    (r-1)-cliques inside part & reps; len(rows) + 1 when there are none.
+    The empty clique, for r = 1, has every vertex of part as a
+    neighbour."""
     if r == 1:
         return part.bit_count()
-    return _min_codegree(rows, part, part, r - 1, memo)
+    return _min_codegree(rows, part, part & reps, r - 1, memo)
 
 
 def _min_codegree(
@@ -176,7 +213,9 @@ def _min_codegree(
 ) -> int:
     """The least codegree of the cliques that add need vertices of above
     to a clique with common neighbourhood common; above holds the common
-    neighbours over that clique's highest vertex.  len(rows) + 1, which
+    neighbours over that clique's highest vertex that may be picked,
+    which a caller may narrow to representatives while common stays
+    whole.  len(rows) + 1, which
     is above any codegree, when there is no such clique.  The rows have
     no loops, so no member is in its own row and the common
     neighbourhood of a clique already excludes the clique.

@@ -67,21 +67,28 @@ The sharing rule, precisely:
     the complement's rows, and condition (c) reads its fibers off the
     facet table.
   * A disconnected graph is split by one primitive,
-    `graphs.component_masks`.  The localization decider splits the
-    graph asked at every size; above `ORACLE_VERTEX_LIMIT` vertices the
-    facet sizes, `profile`'s ridges, `min_clique_codegree` and the
-    edge-deletion criticality route split too.  Above it the facet
-    sizes are also read on one vertex per class of twins, even on a
-    connected graph, so no size reader builds the facet table there.
-    The deletion route searches only the deleted edge's component,
-    since alpha adds over components, and deletes one edge per pair of
-    closed neighbourhoods, since twins are swapped by an automorphism;
-    its docstring states both lemmas.  The oracle, its superset table,
-    condition (c) and the impure witness of condition (b) stay whole.
-    So on every disconnected graph the catalog checks compare the
-    localization decider's split with the oracle and the ridge
-    decider, and the tests compare each other split with its
-    whole-graph path.
+    `graphs.component_masks`, and twins are read by one primitive,
+    `independence.representatives`, which gives the k lowest vertices
+    of each twin class.  The localization decider splits the graph
+    asked at every size; above `ORACLE_VERTEX_LIMIT` vertices the facet
+    sizes, `profile`'s ridges, `min_clique_codegree` and the
+    edge-deletion criticality route split too.  Above it, even on a
+    connected graph, these routes search class representatives instead
+    of every vertex: the facet sizes, `independence_number`, the
+    deletion route's edges and searches, the localization drop test,
+    `profile`'s ridge growth, `is_kt_saturated` and
+    `min_clique_codegree`.  None has a second code path there, only a
+    smaller vertex mask, and each docstring states the lemma that keeps
+    it exact, so no size reader builds the facet table and C7[K_q] is
+    searched on 7 or 14 of its 7q vertices.  The deletion route also
+    searches only the deleted edge's component, since alpha adds over
+    components, and deletes one edge per pair of closed neighbourhoods,
+    since twins are swapped by an automorphism.  The oracle, its
+    superset table, condition (c) and the impure witness of condition
+    (b) stay whole.  So on every disconnected graph the catalog checks
+    compare the localization decider's split with the oracle and the
+    ridge decider, and the tests compare each other split, and each
+    representative path, with its whole-graph path or its definition.
 """
 
 from __future__ import annotations
@@ -102,6 +109,7 @@ from .independence import (
     independent_set_masks,
     maximal_independent_set_masks,
     profile,
+    representatives,
     split_parts,
 )
 from .saturation import is_kt_saturated, maximal_clique_sizes_uniform, min_clique_codegree
@@ -342,19 +350,29 @@ def _local_index(rows: tuple[int, ...], alpha: int, memo: dict) -> int:
     and so one localization, drop test and sub-index; only the first
     vertex of each keep mask is looked at.  The blow-up C7[K_q] has 7q
     vertices but 7 keep masks.
+
+    The drop test reads only the representatives R_1 of the twin
+    classes of rows (`representatives`, every vertex at or below
+    `ORACLE_VERTEX_LIMIT`).  A keep mask is a union of whole classes,
+    since twins have one closed neighbourhood, and an independent set
+    inside it meets each class at most once and may swap that vertex
+    for the class's lowest, so the mask holds alpha - 1 independent
+    vertices exactly when its part of R_1 does.  The relabel, the memo
+    and the sub-index stay on the whole localization.
     """
     n = len(rows)
     # alpha 1 means every pair is adjacent: the complete base case
     result = n
     if alpha > 1:
         full = (1 << n) - 1
+        reps = representatives(rows)
         seen = set()
         for v in range(n):
             keep = full & ~(rows[v] | 1 << v)
             if keep in seen:
                 continue
             seen.add(keep)
-            if alpha_within(rows, keep, alpha - 1) != alpha - 1:
+            if alpha_within(rows, keep & reps, alpha - 1) != alpha - 1:
                 result = 0
                 break
             sub = induced_rows(rows, keep)
@@ -414,6 +432,27 @@ def non_critical_edge(g: Graph) -> tuple[int, int] | None:
         each pair is deleted.  A failing pair fails at its first edge,
         so the edge returned is the first failing edge.
         C7[K_q] has 7q(q - 1)/2 + 7q^2 edges but 14 such pairs.
+
+    Above `ORACLE_VERTEX_LIMIT` vertices the loop and the kernel read
+    the representatives R_k of g's twin classes (`representatives`,
+    every vertex at or below the cap):
+      * Edges.  Twin classes are joined completely or not at all, and in
+        `g.edges()` order the first edge between classes A and B, with
+        min A < min B, is (min A, min B), and the first inside A is its
+        two lowest vertices.  So every pair's first edge lies inside
+        R_2, and only the edges inside R_2 are read, in `g.edges()`
+        order: C7[K_4]'s loop reads the edges among 14 vertices, not
+        its 154.
+      * Deletions.  An independent set meets a class of twins at most
+        once and may swap its vertex for any twin, so a part's alpha is
+        searched on its R_1.  A set of alpha + 1 vertices independent in
+        G - uv holds u and v, since G has none, and its other vertices
+        lie outside N[u] and N[v].  Those vertices keep their rows, and
+        so their classes of G, and none is a twin of u or v; each swaps
+        for its class's lowest, which keeps the set independent in
+        G - uv.  So G - uv has such a set exactly when its part's R_1
+        plus u and v does, and u and v lie in R_2: the deletion is
+        searched on its part's R_2.
     """
     adj = g.adj
     parts = split_parts(adj)
@@ -422,26 +461,36 @@ def non_critical_edge(g: Graph) -> tuple[int, int] | None:
         home = [(parts[0], independence_number(g))] * g.n
     else:
         home = [None] * g.n
+        reps = representatives(adj)
         for part in parts:
-            alpha = alpha_within(adj, part)
+            alpha = alpha_within(adj, part & reps)
             for w in members(part):
                 home[w] = (part, alpha)
+    pairs = representatives(adj, 2)
     rows = list(adj)
     tested = set()
-    for u, v in g.edges():
-        a, b = adj[u] | 1 << u, adj[v] | 1 << v
-        key = (a, b) if a < b else (b, a)
-        if key in tested:
-            continue
-        tested.add(key)
-        part, alpha = home[u]
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        raised = alpha_within(rows, part, alpha + 1) > alpha
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        if not raised:
-            return (u, v)
+    # the edges inside R_2 in `g.edges()` order: by upper end, then lower
+    for v in members(pairs):
+        bit = 1 << v
+        b = adj[v] | bit
+        below = adj[v] & pairs & bit - 1
+        while below:
+            low = below & -below
+            below ^= low
+            u = low.bit_length() - 1
+            a = adj[u] | low
+            key = (a, b) if a < b else (b, a)
+            if key in tested:
+                continue
+            tested.add(key)
+            part, alpha = home[u]
+            rows[u] ^= bit
+            rows[v] ^= low
+            raised = alpha_within(rows, part & pairs, alpha + 1) > alpha
+            rows[u] ^= bit
+            rows[v] ^= low
+            if not raised:
+                return (u, v)
     return None
 
 
@@ -521,10 +570,18 @@ def _cond_b(g: Graph, prof: IndependenceProfile) -> tuple[int, dict]:
     if not prof.is_pure:
         small = min(maximal_independent_set_masks(g), key=int.bit_count)
         return 0, {"kind": "impure_complex", "facet": members(small)}
-    # many ridges share a fiber: 17,496 ridges of 8K3 have 8 fibers
+    # an edge lies in some ridge's link exactly when both ends lie in
+    # its fiber; covered[x], the union of the fibers holding x, makes
+    # each edge one bit test
+    covered = [0] * g.n
+    for f in prof.fibers:
+        bits = f
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            covered[low.bit_length() - 1] |= f
     for u, v in g.edges():
-        pair = 1 << u | 1 << v
-        if not any(pair & f == pair for f in prof.fibers):
+        if not covered[u] >> v & 1:
             return 0, {"kind": "missing_edge_outside_links", "edge": (u, v)}
     # the ridge's link has exactly the fiber as vertex set
     degree = prof.min_fiber_size

@@ -111,6 +111,47 @@ def has_clique(g: Graph, k: int) -> bool:
     return bool(cliques_of_size(g, k))
 
 
+def cliques_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
+    """levels[k]: the cliques of k vertices, grown like
+    `independent_sets_by_size`, for k = 0 up to the clique number."""
+    levels = [[()]]
+    while True:
+        grown = [vs + (x,) for vs in levels[-1] for x in range(vs[-1] + 1 if vs else 0, g.n)
+                 if all(g.has_edge(x, v) for v in vs)]
+        if not grown:
+            return levels
+        levels.append(grown)
+
+
+def neighbour_sets(g: Graph) -> list[set[int]]:
+    return [{w for w in range(g.n) if g.has_edge(v, w)} for v in range(g.n)]
+
+
+def is_kt_saturated_by_growth(g: Graph, t: int, cliques) -> bool:
+    """g has no K_t, and adding any missing edge uv creates one: that
+    K_t holds u and v, so it is u, v and a (t-2)-clique of vertices
+    adjacent to both.  cliques is `cliques_by_size(g)`."""
+    if len(cliques) > t:
+        return False
+    level = [set(vs) for vs in cliques[t - 2]] if t - 2 < len(cliques) else []
+    nbrs = neighbour_sets(g)
+    for u, v in combinations(range(g.n), 2):
+        if not g.has_edge(u, v):
+            common = nbrs[u] & nbrs[v]
+            if not any(vs <= common for vs in level):
+                return False
+    return True
+
+
+def min_codegree_by_growth(g: Graph, r: int, cliques) -> int:
+    """The least, over the (r-1)-cliques of g, of the number of vertices
+    adjacent to every vertex of the clique, which leaves out the clique
+    itself.  cliques is `cliques_by_size(g)`."""
+    nbrs = neighbour_sets(g)
+    return min(len(set(range(g.n)).intersection(*(nbrs[v] for v in vs)))
+               for vs in cliques[r - 1])
+
+
 def max_clique_size(g: Graph) -> int:
     return max(k for k in range(g.n + 1) if k == 0 or has_clique(g, k))
 

@@ -21,10 +21,14 @@ every labeled graph with n <= 5 joined with the Petersen complement,
 which puts it past the cap so that the split runs.  Above the cap the
 facet sizes are read on one vertex per class of equal rows; they must
 equal the sizes over every maximal clique on those joins, on the
-blow-ups G[K_3] of the labeled graphs with n <= 5 and on C7[K_q].
+blow-ups G[K_3] of the labeled graphs with n <= 5 and on C7[K_q].  The
+other routes that read twin-class representatives above the cap are
+checked against their definitions on the same inputs, on the blow-ups
+G[K_4] and on seeded graphs with planted twins.
 """
 
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -37,6 +41,7 @@ from wellcov import (
     is_alpha_critical_direct,
     is_alpha_critical_fibers,
     is_in_wp_localization,
+    is_kt_saturated,
     is_well_covered,
     min_clique_codegree,
     non_critical_edge,
@@ -266,3 +271,83 @@ class TestUnions:
         co = complement(u)
         assert min_clique_codegree(co, r) == split_min_codegree(co, r) == whole_min_codegree(co, r)
         assert split_local_index(u) == local_index_by_subgraphs(u, {})
+
+
+def planted_twins(seed: int) -> Graph:
+    """A seeded graph of 11 to 30 vertices with planted twins and
+    shuffled labels: each vertex of a random base graph becomes a class
+    of 1 to 4 vertices, joined as a clique (twins of g) or left
+    independent (twins of the complement)."""
+    rng = random.Random(seed)
+    while True:
+        m = rng.randint(4, 10)
+        sizes = [rng.randint(1, 4) for _ in range(m)]
+        if 11 <= sum(sizes) <= 30:
+            break
+    closed = [rng.random() < 0.6 for _ in range(m)]
+    base = {(i, j) for i, j in combinations(range(m), 2) if rng.random() < 0.5}
+    home = [i for i in range(m) for _ in range(sizes[i])]
+    labels = list(range(len(home)))
+    rng.shuffle(labels)
+    return Graph.from_edges(len(home), [
+        (labels[a], labels[b]) for a, b in combinations(range(len(home)), 2)
+        if (closed[home[a]] if home[a] == home[b] else (home[a], home[b]) in base)])
+
+
+def assert_representatives_match(g: Graph) -> None:
+    """Every route that reads twin-class representatives above the cap
+    against its definition on g and its complement h: alpha, the first
+    edge whose deletion keeps it, the ridges and fibers, the localization
+    index, K_t-saturation of h at t = r, r + 1 and r + 2, and the least
+    codegree of h at r and r - 1, where r is alpha.  The cliques of h
+    are the independent sets of g."""
+    levels = _naive.independent_sets_by_size(g)
+    r = len(levels) - 1
+    assert independence_number(g) == r
+    assert non_critical_edge(g) == non_critical_by_deletion(g)
+    assert_profile_matches_naive(g)
+    assert split_local_index(g) == local_index_by_subgraphs(g, {})
+    h = complement(g)
+    for t in range(max(2, r), r + 3):
+        assert is_kt_saturated(h, t) == _naive.is_kt_saturated_by_growth(h, t, levels)
+    for k in range(max(1, r - 1), r + 1):
+        assert min_clique_codegree(h, k) == _naive.min_codegree_by_growth(h, k, levels)
+
+
+class TestRepresentativesAgainstNaive:
+    """Above the cap, alpha, the deletion route, the localization drop
+    test, `profile`'s ridges, K_t-saturation and the least codegree
+    read the representatives of g's twin classes, the k lowest vertices
+    of each (`independence.representatives`).  Each must give what its
+    definition gives on the whole graph: on the blow-ups G[K_3] and
+    G[K_4] of every labeled graph with 3 <= n <= 5, where every class
+    holds at least three vertices; on the joins with the Petersen
+    complement, whose classes are mostly single vertices; on seeded
+    graphs with planted twins of both kinds and shuffled labels, so
+    that a class is not a run of consecutive vertices; and on C7[K_q]."""
+
+    @pytest.mark.parametrize("q", (3, 4))
+    def test_blowups_n5(self, q):
+        for n in range(3, 6):
+            for g in labeled_graphs(n):
+                assert_representatives_match(_naive.blowup(g, q)[0])
+
+    def test_joined_with_petersen_complement(self):
+        pc = generate("petersen_complement").graph
+        for g in small_catalog(5):
+            for u in (disjoint_union(g, pc), disjoint_union(pc, g)):
+                assert_representatives_match(u)
+
+    def test_planted_twins(self):
+        for seed in range(200):
+            g = planted_twins(seed)
+            assert_representatives_match(g)
+            # the independent classes are twins of h planted in g, so
+            # the saturation search reads them on g's own rows
+            cliques = _naive.cliques_by_size(g)
+            for t in range(2, len(cliques) + 2):
+                assert is_kt_saturated(g, t) == _naive.is_kt_saturated_by_growth(g, t, cliques)
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_c7_blowups(self, q):
+        assert_representatives_match(generate(f"c7_blowup:q={q}").graph)

@@ -277,9 +277,9 @@ class TestMemoWork:
     their memos the recursions opened 27,064 ridge, 27,064 codegree and
     23,279 clique frames at r = 8, and 451,613, 451,613 and 289,464 at
     r = 10.  rK3 is disconnected, so `profile` and `min_clique_codegree`
-    split it into triangles; the ridge and codegree recursions are
-    driven on its whole rows directly.  Each test starts with empty
-    caches."""
+    split it into triangles, and `is_kt_saturated` reads one vertex per
+    triangle; the ridge, codegree and clique recursions are driven on
+    its whole rows directly.  Each test starts with empty caches."""
 
     BUDGETS = {8: (450, 450, 220), 10: (1450, 1450, 380)}
 
@@ -305,8 +305,19 @@ class TestMemoWork:
     @pytest.mark.parametrize("r", sorted(BUDGETS))
     def test_saturation(self, r):
         h = complement(generate(f"disjoint_cliques:r={r},p=3").graph)
-        frames = frames_entered(saturation, "_contains_clique", lambda: is_kt_saturated(h, r + 1))
+        rows, full = h.adj, (1 << h.n) - 1
+        memo: dict[tuple[int, int], bool] = {}
+
+        def whole_search() -> list[bool]:
+            # the K_(r+1) search, then each missing pair's K_(r-1)
+            # search in its common neighbourhood, on every vertex
+            return [saturation._contains_clique(rows, full, r + 1, memo)] + [
+                saturation._contains_clique(rows, rows[u] & rows[v], r - 1, memo)
+                for u, v in complement(h).edges()]
+
+        frames = frames_entered(saturation, "_contains_clique", whole_search)
         assert frames <= self.BUDGETS[r][2]
+        assert whole_search() == [False] + [True] * (3 * r)
         assert is_kt_saturated(h, r + 1)
 
 
@@ -360,6 +371,28 @@ class TestLocalizationWork:
         # C7[K_q] is in W_q and not in W_(q+1)
         assert is_in_wp_localization(g, q, memo)
         assert not is_in_wp_localization(g, q + 1, memo)
+
+
+class TestRepresentativeWork:
+    """Frame budgets for the routes that read twin-class representatives
+    on C7[K_q], whose 7q vertices fall into 7 classes, from cold caches:
+    the alpha kernel's branches for `independence_number`, the ridges of
+    `profile`, the codegree cliques of `min_clique_codegree` and the
+    clique searches of `is_kt_saturated` on the complement.  On every
+    vertex they opened 13, 28, 28 and 264 frames at q = 4, and 25, 56,
+    56 and 866 at q = 8; on the representatives 4, 7, 7 and 62 at
+    both."""
+
+    @pytest.mark.parametrize("q", (4, 8))
+    def test_c7_blowup(self, q):
+        g = generate(f"c7_blowup:q={q}").graph
+        h = complement(g)
+        assert grow_calls(independence_number, g) <= 6
+        assert frames_entered(independence, "_grow_ridges", lambda: profile(g)) <= 10
+        assert frames_entered(saturation, "_min_codegree", lambda: min_clique_codegree(h, 3)) <= 10
+        assert frames_entered(saturation, "_contains_clique", lambda: is_kt_saturated(h, 4)) <= 80
+        assert (independence_number(g), profile(g).min_fiber_size) == (3, q)
+        assert min_clique_codegree(h, 3) == q and is_kt_saturated(h, 4)
 
 
 class TestOrdering:
