@@ -93,8 +93,8 @@ complement.
 `independent_set_masks` is not cached: the oracle reads it once per
 graph as the order its family search enumerates in, and keeps it
 across p in a superset table of its own, beside the masks of the
-maximum sets containing each set, filled by walking the subsets of the
-facet table's maximum sets.
+maximum sets containing each set, filled in one pass over the sets,
+one AND per set, from the facet table's maximum sets.
 `independent_masks_of_size` is only a size filter over that table, kept
 because the benchmark tracer lists it; no route calls it.
 """
@@ -265,21 +265,19 @@ def maximal_independent_set_masks(g: Graph) -> tuple[int, ...]:
 
 
 def independent_set_masks(g: Graph) -> tuple[int, ...]:
-    """Every independent set as a bitmask, ascending, starting at 0."""
-    rows = g.adj
-    out = [0]
+    """Every independent set as a bitmask, ascending, starting at 0.
 
-    def grow(mask: int, cand: int) -> None:
-        bits = cand
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            extended = mask | low
-            out.append(extended)
-            # bits keeps only higher vertices, so no set is built twice
-            grow(extended, bits & ~rows[low.bit_length() - 1])
-    grow(0, (1 << g.n) - 1)
-    out.sort()
+    Vertex by vertex, each set so far that misses v's row gains v.
+    Lemma: after vertex v the list holds the independent sets inside
+    0..v, ascending.  A set holding v is independent exactly when it is
+    v plus an independent set of 0..v-1 outside v's row, so each is
+    built once.  Every new set holds v, the highest vertex so far, so it
+    is above every earlier set, and the new sets keep the order of the
+    sets they extend: the list stays ascending with no sort."""
+    out = [0]
+    for v, row in enumerate(g.adj):
+        bit = 1 << v
+        out += [s | bit for s in out if not s & row]
     return tuple(out)
 
 

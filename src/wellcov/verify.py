@@ -143,14 +143,25 @@ def corollary_discrepancies(
     reports: dict | None = None,
 ) -> list[dict]:
     """Specializations, duality, criticality, bounds, and the
-    three-condition check for one graph."""
+    three-condition check for one graph.
+
+    The theorem report runs the edge-deletion criticality route once
+    per graph when some p passes the oracle, and a report at such a p
+    names the route's non-critical edge as its condition (a) witness,
+    or has none.  A route's own result may be reused by that route, so
+    the criticality check reads the route's verdict there and runs the
+    route itself only when no p passed."""
     p_values = tuple(p_values)
     out = []
     reports = _theorem_reports(g, p_values, reports)
     r = independence_number(g)
     h = complement(g)
 
-    direct = is_alpha_critical_direct(g)
+    passed = [rep for rep in reports.values() if rep.oracle]
+    if passed:
+        direct = passed[0].witnesses.get("cond_a", {}).get("kind") != "non_critical_edge"
+    else:
+        direct = is_alpha_critical_direct(g)
     by_fibers, uncovered = is_alpha_critical_fibers(g)
     if direct != by_fibers:
         out.append(_record(

@@ -32,7 +32,8 @@ The sharing rule, precisely:
     checks read the oracle decider from it instead of running the
     oracle a second time.  The criticality half of condition (a) does
     not depend on p, so the report runs it once per graph and every p
-    reads that one edge.
+    reads that one edge; the catalog's criticality check reads the
+    deletion route's verdict from a report that ran it.
   * Every route but the literal oracle computes its largest p once per
     graph, and its answer at each p is a threshold on that number: the
     ridge decider's `w_index`, the localization recursion's smallest
@@ -49,7 +50,8 @@ The sharing rule, precisely:
     table indexes the maximum sets and holds, as bitmasks over that
     index, the maximum sets containing each independent set (`S`) and
     those disjoint from each maximum set (`D`), read off the two
-    enumerations above and nothing else.  The theorem report and
+    enumerations above and nothing else, in one pass over the
+    independent sets with one AND each.  The theorem report and
     `wellcov analyze` ask the front once for all their p values.
   * Decision logic is never shared: no route reads another route's
     verdict or calls into its deciding code.
@@ -126,33 +128,36 @@ def _superset_table(g: Graph) -> tuple[tuple[int, ...], dict[int, int], tuple[in
     maximum sets disjoint from `omega[j]`; and `lone`, the first set in
     `ind` order that no maximum set contains, or None.
 
+    `single[v]` is the mask of the maximum sets holding vertex v, and
+    `S` is filled in one pass over `ind`, one AND per set.  Lemma: for a
+    nonempty set a with lowest vertex x, S[a] = S[a - x] & single[x].
+    A maximum set holds a exactly when it holds x and a - x, and a - x
+    is independent and below a, so it comes earlier in `ind` and its
+    entry is already filled.  So the table costs |ind| + alpha * |omega|
+    steps.
+
     A `lone` set exists exactly when g is not well-covered: a maximal set
     below alpha is one, and every independent set lies in some maximal
-    set.  It is unextendable alone at every p, so no family search runs,
-    and `S` and `D` are left empty.  Otherwise `S` is filled by walking
-    the 2^alpha subsets of each maximum set, so it costs the sum of its
-    entries' sizes, not one test per pair of an independent set and a
-    maximum set.  `D[j]` is every maximum set but those meeting a vertex
-    of `omega[j]`, the one-vertex entries of `S`.
+    set.  It is the first set whose mask is empty, so the pass stops
+    there, with `S` filled up to it and `D` empty.  It is unextendable
+    alone at every p, so no family search runs.  `D[j]` is every maximum set but those
+    meeting a vertex of `omega[j]`.
     """
     ind = independent_set_masks(g)
     mis = maximal_independent_set_masks(g)
     alpha = max(m.bit_count() for m in mis)
     omega = [m for m in mis if m.bit_count() == alpha]
-    if len(omega) < len(mis):
-        for a in ind:
-            for m in omega:
-                if m & a == a:
-                    break
-            else:
-                return ind, {}, (), a
-    S = {0: (1 << len(omega)) - 1}
+    single = [0] * g.n
     for j, m in enumerate(omega):
-        s = m
-        while s:
-            S[s] = S.get(s, 0) | 1 << j
-            s = s - 1 & m
-    D = tuple(S[0] ^ reduce(or_, [S[1 << v] for v in members(m)]) for m in omega)
+        for v in members(m):
+            single[v] |= 1 << j
+    S = {0: (1 << len(omega)) - 1}
+    for a in ind[1:]:
+        low = a & -a
+        S[a] = s = S[a ^ low] & single[low.bit_length() - 1]
+        if not s:
+            return ind, S, (), a
+    D = tuple(S[0] ^ reduce(or_, [single[v] for v in members(m)]) for m in omega)
     return ind, S, D, None
 
 

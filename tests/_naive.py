@@ -55,6 +55,18 @@ def independent_sets_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
         levels.append(grown)
 
 
+def is_well_covered_by_growth(levels) -> bool:
+    """Is every maximal independent set maximum?  levels is
+    `independent_sets_by_size(g)`, whose last level is the maximum sets:
+    a set of a lower level is maximal exactly when it is no set of the
+    next level less one vertex."""
+    for below, above in zip(levels, levels[1:]):
+        extendable = {vs[:i] + vs[i + 1:] for vs in above for i in range(len(vs))}
+        if any(vs not in extendable for vs in below):
+            return False
+    return True
+
+
 def ridge_table(g: Graph) -> tuple[bool, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """(well-covered, every ridge with its fiber), the ridges in mask
     order: the table of independent sets of alpha - 1 vertices, then a

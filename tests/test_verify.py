@@ -33,7 +33,7 @@ from wellcov import (
     theorem_reports,
     w_index,
 )
-from wellcov import cli, independence, saturation, verify
+from wellcov import cli, independence, saturation, verify, wp
 from wellcov.bitset import VertexSet
 from wellcov.catalog import graph_from_pair_mask, labeled_graphs
 from wellcov.verify import catalog_suite
@@ -102,9 +102,34 @@ class TestPerGraphChecks:
         assert [row["p"] for row in report["membership"]] == [1]
 
     def test_records_without_p_carry_no_repro(self, c5, monkeypatch):
-        monkeypatch.setattr("wellcov.verify.is_alpha_critical_direct", lambda g: False)
+        monkeypatch.setattr("wellcov.verify.is_alpha_critical_fibers", lambda g: (False, (0, 1)))
         [rec] = corollary_discrepancies(c5, (1,))
         assert list(rec) == ["check", "graph6", "n", "detail"]
+
+    def test_deletion_route_runs_once_per_graph(self, monkeypatch):
+        # the theorem report runs it when some p passes the oracle, and
+        # the criticality check then reads its verdict from that report
+        calls = []
+        original = wp.non_critical_edge
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+        monkeypatch.setattr(wp, "non_critical_edge", counting)
+        for n in range(1, 6):
+            for g in labeled_graphs(n):
+                calls.clear()
+                check_graph(g, (1, 2, 3), {})
+                assert calls == [g]
+
+    def test_criticality_check_reads_the_reported_edge(self, c5, monkeypatch):
+        # c5 passes the oracle at p = 1, so a planted non-critical edge
+        # reaches the criticality check through the report alone
+        monkeypatch.setattr(wp, "non_critical_edge", lambda g: (0, 1))
+        monkeypatch.setattr(verify, "is_alpha_critical_direct", lambda g: True)
+        recs = corollary_discrepancies(c5, (1,))
+        assert [rec["detail"] for rec in recs if rec["check"] == "criticality"] == [
+            "edge_deletion=False fiber_cover=True uncovered=None"]
 
     def test_accepting_oracle_below_the_order_bound_is_filed(self, c5):
         # p disjoint maximum sets of r vertices need r * p vertices, so an

@@ -4,13 +4,15 @@ The three deciders are cross-checked on the full n <= 5 catalog here at
 every level up to n + 1, and the oracle against a naive ordered-tuple
 reference at p <= 3; a naive first-family reference pins the exact
 family the oracle returns at every level up to n + 1, and the oracle's
-earlier extension search pins it on the n <= 6 catalog at p <= 4; the
-complete n = 6 run of the deciders belongs to the acceptance suite.  The
+earlier extension search pins it on the n <= 6 catalog at p <= 4 and
+on graphs past the vertex cap; the oracle's superset table is checked
+against its definition on the same graphs; the complete n = 6 run of the deciders belongs to the acceptance suite.  The
 row-level deletion and localization routes are checked against their
 versions on built graphs (`delete_edge`, `induced_subgraph`) on the
 n <= 6 catalog, and held to building no graph at all.
 """
 
+import random
 import sys
 
 import pytest
@@ -39,7 +41,7 @@ from wellcov import (
     w_index,
     wp_oracle_counterexample,
 )
-from wellcov import cli, verify, wp
+from wellcov import cli, independence, verify, wp
 from wellcov.bitset import members
 from wellcov.catalog import labeled_graphs
 from wellcov.graphs import induced_rows
@@ -231,6 +233,115 @@ class TestOracleWork:
                 assert w == p
                 assert is_in_wp_oracle(g, w)
                 assert not is_in_wp_oracle(g, w + 1)
+
+
+def paley_17() -> Graph:
+    """The Paley graph P17 = C_17(1, 2, 4, 8): 17 vertices, 154
+    independent sets, alpha 3 and W-index 3."""
+    return Graph.from_edges(17, [(i, (i + d) % 17) for i in range(17) for d in (1, 2, 4, 8)])
+
+
+def assert_table_matches_definition(g: Graph) -> None:
+    """`wp._superset_table(g)` against the definitions, on the sets
+    `_naive.independent_sets_by_size` grows, whose last level is the
+    maximum sets, indexed in mask order as the table indexes them."""
+    ind, S, D, lone = wp._superset_table(g)
+    levels = _naive.independent_sets_by_size(g)
+    want_ind = sorted(sum(1 << v for v in vs) for level in levels for vs in level)
+    assert list(ind) == want_ind
+    omega = sorted(sum(1 << v for v in vs) for vs in levels[-1])
+    # the sets a maximum set contains are its submasks
+    containing: dict[int, int] = {}
+    for j, m in enumerate(omega):
+        s = m
+        while True:
+            containing[s] = containing.get(s, 0) | 1 << j
+            if not s:
+                break
+            s = s - 1 & m
+    want_lone = next((a for a in want_ind if a not in containing), None)
+    assert lone == want_lone
+    assert (lone is None) == _naive.is_well_covered_by_growth(levels)
+    # the pass stops at lone, so S holds the sets up to it
+    filled = want_ind if lone is None else want_ind[:want_ind.index(lone) + 1]
+    assert list(S) == filled
+    assert all(S[a] == containing.get(a, 0) for a in filled)
+    if lone is None:
+        assert len(D) == len(omega)
+        # every maximum set of the small graphs, an even spread of 8K3's 6,561
+        for j in range(0, len(omega), 1 + len(omega) // 256):
+            assert D[j] == sum(1 << k for k, m in enumerate(omega) if not m & omega[j])
+
+
+def independence_frames(g: Graph) -> int:
+    """Python frames opened in `independence`'s module by one
+    `independent_set_masks(g)`."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == independence.__file__:
+            calls += 1
+    sys.setprofile(count)
+    try:
+        independence.independent_set_masks(g)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestSupersetTable:
+    """The oracle's table, `S`, `D` and `lone`, against its definition,
+    and the work of its build past the oracle cap."""
+
+    def test_catalog_n6(self):
+        for g in small_catalog(6):
+            assert_table_matches_definition(g)
+
+    def test_seeded_n7_to_10(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(7, 10)
+            density = rng.random()
+            g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < density])
+            assert_table_matches_definition(g)
+
+    def test_past_the_cap(self):
+        assert_table_matches_definition(paley_17())
+        for spec in ("c7_blowup:q=2", "c7_blowup:q=3", "disjoint_cliques:r=8,p=3"):
+            assert_table_matches_definition(generate(spec).graph)
+
+    def test_independent_sets_open_one_frame_per_vertex(self):
+        # one comprehension per vertex (none from Python 3.12 on, which
+        # inlines them) and the call itself; a recursive search opens a
+        # frame per set, 65,536 on 8K3
+        g = generate("disjoint_cliques:r=8,p=3").graph
+        assert independence_frames(g) <= g.n + 1
+
+
+class TestOraclePastTheCap:
+    """The oracle with allow_large against the extension search it ran
+    before it tracked reachable maximum-set masks."""
+
+    def test_paley_17(self):
+        g = paley_17()
+        for p in range(1, 5):
+            assert wp.oracle_families(g, (p,), True) == {
+                p: _naive.first_unextendable_by_extension(g, p)}
+
+    def test_c7_blowup_q2(self):
+        g = generate("c7_blowup:q=2").graph
+        assert wp.oracle_families(g, (1, 2, 3), True) == {
+            p: _naive.first_unextendable_by_extension(g, p) for p in (1, 2, 3)}
+
+    def test_blowups_n4(self):
+        # every labeled graph on up to 4 vertices with each vertex a
+        # triangle: up to 12 vertices
+        for g in small_catalog(4):
+            b, _ = _naive.blowup(g, 3)
+            assert wp.oracle_families(b, (1, 2), True) == {
+                p: _naive.first_unextendable_by_extension(b, p) for p in (1, 2)}
 
 
 class TestWIndex:
